@@ -1,0 +1,6 @@
+"""The repository benchmark: four workloads, end-to-end and per-layer metrics.
+
+Run one workload with ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1`` from the repository root; see ``README.md`` in
+this directory for the workloads, every metric and the layer table.
+"""
