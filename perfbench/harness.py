@@ -260,6 +260,10 @@ def code_digest() -> str:
 
 
 def _git_commit() -> Optional[str]:
+    """The checkout's commit, or None outside a git work tree (git is not
+    asked then: it would search the directories above the checkout)."""
+    if not (ROOT / ".git").exists():
+        return None
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=str(ROOT), capture_output=True,
