@@ -1,39 +1,30 @@
 """Host-speed calibration for the end-to-end timings.
 
-A shared host runs everything faster or slower for seconds to minutes at
-a time.  :class:`Calibration` is fixed pure-Python work that uses nothing
-from the program; timing it next to a measured phase gives the host's
-speed at that moment, and :func:`host_factor` turns samples into the
-factor that scales the phase's durations and rates to a reference speed.
-
-    python3 -m perfbench.calibration 0.5
-
-prints one sample every 0.5 s until its standard input closes (the
-sampler :func:`background_samples` runs next to a phase).
+A shared host runs everything faster or slower, by up to a third, for
+seconds at a time.  :class:`Calibration` is fixed pure-Python work that
+uses nothing from the program; timing it just before and just after a
+measured step, with nothing else of the benchmark running, gives the
+host's speed at that moment, and :func:`host_factor` turns samples into
+the factor that scales the step's duration to a reference speed.
+:class:`StepTimer` times a phase in short steps with the calibration work
+between them, so the factor follows the host's speed through the phase.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import select
-import subprocess
-import sys
 import time
 from array import array
-from contextlib import contextmanager
-from pathlib import Path
 from random import Random
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from perfbench.stats import median
 
-ROOT = Path(__file__).resolve().parent.parent
-
-#: Seconds the calibration work takes on the reference host (2-CPU x86-64
-#: container, Python 3.11).  Only a unit conversion: any constant gives
+#: Seconds the calibration work takes on the reference host (2-CPU x86-64,
+#: Python 3.11).  Only a unit conversion: any constant gives
 #: the same comparisons between commits.
-REFERENCE_S = 0.05
+REFERENCE_S = 0.025
 
 
 def host_factor(samples) -> float:
@@ -50,9 +41,9 @@ class Calibration:
     def __init__(self) -> None:
         rng = Random(7)
         self.array = array("q", range(1 << 18))
-        self.reads = [rng.randrange(1 << 18) for __ in range(30000)]
+        self.reads = [rng.randrange(1 << 18) for __ in range(15000)]
         self.table = {index: index for index in range(20000)}
-        self.keys = [rng.randrange(20000) for __ in range(30000)]
+        self.keys = [rng.randrange(20000) for __ in range(15000)]
 
     def __call__(self) -> float:
         """Wall seconds of one pass of the work."""
@@ -70,13 +61,13 @@ class Calibration:
         rng = Random(12345)
         counts: Dict[int, int] = {}
         items = []
-        for index in range(20000):
+        for index in range(10000):
             key = rng.randrange(512)
             counts[key] = counts.get(key, 0) + index
             items.append((key, index))
         items.sort()
         heap = []
-        for index in range(6000):
+        for index in range(3000):
             heapq.heappush(heap, (rng.random(), index, _Node(index)))
         total = 0
         while heap:
@@ -96,35 +87,36 @@ class _Node:
         self.value = value
 
 
-@contextmanager
-def background_samples(interval: float):
-    """Sample the calibration work every *interval* seconds in a helper
-    process (a thread would be forked along with the program's worker
-    processes) while the block runs; the list fills when it ends."""
-    samples: List[float] = []
-    helper = subprocess.Popen(
-        [sys.executable, "-m", "perfbench.calibration", repr(interval)],
-        cwd=str(ROOT), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-    )
-    try:
-        yield samples
-    finally:
-        helper.stdin.close()
-        output = helper.stdout.read()
-        helper.stdout.close()
-        helper.wait(timeout=60)
-    samples.extend(float(line) for line in output.split())
+class StepTimer:
+    """Wall time of the steps of named phases.
 
+    With a :class:`Calibration`, the calibration work runs before the
+    first step and after every step, and each step's time is also
+    recorded divided by the host factor of the samples on both sides of
+    it.  Without one, the steps run back to back and the calibrated time
+    is the raw time (the traced pass: the same steps, no calibration)."""
 
-def main(argv: List[str]) -> int:
-    interval = float(argv[0])
-    work = Calibration()
-    while True:
-        print(repr(work()), flush=True)
-        readable, __, __ = select.select([sys.stdin], [], [], interval)
-        if readable:
-            return 0
+    def __init__(self, calibration: Optional[Calibration] = None) -> None:
+        self.calibration = calibration
+        self.samples: List[float] = []
+        #: phase -> [(raw seconds, calibrated seconds)] per step
+        self.steps: Dict[str, List[Tuple[float, float]]] = {}
 
+    def step(self, phase: str, work: Callable, *args, **kwargs):
+        """Run ``work(*args, **kwargs)`` as one timed step of *phase*."""
+        if self.calibration is not None and not self.samples:
+            self.samples.append(self.calibration())
+        started = time.perf_counter()
+        result = work(*args, **kwargs)
+        wall = time.perf_counter() - started
+        factor = 1.0
+        if self.calibration is not None:
+            self.samples.append(self.calibration())
+            factor = host_factor(self.samples[-2:])
+        self.steps.setdefault(phase, []).append((wall, wall / factor))
+        return result
 
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    def total(self, phase: str) -> Tuple[float, float]:
+        """``(raw, calibrated)`` seconds of all the steps of *phase*."""
+        steps = self.steps.get(phase, [])
+        return sum(raw for raw, __ in steps), sum(cal for __, cal in steps)

@@ -20,6 +20,7 @@ from multiprocessing.connection import wait as wait_for_exit
 from pathlib import Path
 from typing import Optional
 
+from perfbench.calibration import Calibration, StepTimer
 from perfbench.harness import (
     WORK_DIR, Report, add_layer_counters, layer_table, log, peak_rss_mb,
 )
@@ -28,7 +29,7 @@ from perfbench.stats import median
 
 WORKERS = 2
 SIZES = {
-    "full": {"torrents": None, "duration": 30.0, "min_warm": 3, "setup_reps": 60},
+    "full": {"torrents": None, "duration": 30.0, "min_warm": 3, "setup_reps": 40},
     "smoke": {"torrents": (2, 3), "duration": 10.0, "min_warm": 2, "setup_reps": 5},
 }
 
@@ -104,11 +105,31 @@ def trace_footer_fingerprint(path: Path) -> Optional[str]:
     return footer.get("fingerprint") if footer.get("type") == "trace_end" else None
 
 
-def run_cold(report: Report, spec, cache_dir: Path, recorder: Optional[SpanRecorder]):
+_WORKER_CALIBRATION: Optional[Calibration] = None
+
+
+def calibrated_shard(payload: dict) -> dict:
+    """Worker-side executor of the timed cold phase: runs the shard as one
+    step calibrated by samples taken in the same worker just before and
+    just after it, and returns the step's raw and calibrated seconds next
+    to the record (the cached record is untouched)."""
+    from repro.campaign import runner as runner_module
+
+    global _WORKER_CALIBRATION
+    if _WORKER_CALIBRATION is None:
+        _WORKER_CALIBRATION = Calibration()
+    timer = StepTimer(_WORKER_CALIBRATION)
+    record = dict(timer.step("shard", runner_module.run_shard_payload, payload))
+    record["perfbench_step_s"] = timer.steps["shard"][0]
+    return record
+
+
+def run_cold(report: Report, spec, cache_dir: Path, executor=None):
+    """The cold phase; returns the campaign result and its wall seconds."""
     from repro.campaign.runner import CampaignRunner
 
-    executor = {} if recorder is None else {"executor": traced_shard}
-    runner = CampaignRunner(spec, cache_dir=str(cache_dir), workers=WORKERS, **executor)
+    chosen = {} if executor is None else {"executor": executor}
+    runner = CampaignRunner(spec, cache_dir=str(cache_dir), workers=WORKERS, **chosen)
     gc.collect()
     started = time.perf_counter()
     result = runner.run()
@@ -212,18 +233,24 @@ def run_campaign(report: Report, seconds: float) -> Optional[SpanRecorder]:
         if report.trace:
             return _traced_pass(report, spec, work)
         started = time.perf_counter()
-        report.calibrate(4, group="setup")
+        # Every set-up repetition is a calibrated step.  The cold phase is
+        # calibrated by the shards' steps in the workers: its wall time is
+        # scaled by the busy-time-weighted host factor they saw.
+        timer = report.timer()
         for index in range(size["setup_reps"]):
             target = work / ("setup-%d" % index)
             gc.collect()
-            began = time.perf_counter()
-            prepare(spec, target)
-            report.sample("setup_s", time.perf_counter() - began)
+            timer.step("setup", prepare, spec, target)
             shutil.rmtree(target)
-        report.calibrate(4, group="setup")
         cache_dir = work / "cache"
-        with report.calibrating():
-            cold, cold_wall = run_cold(report, spec, cache_dir, None)
+        cold, cold_wall = run_cold(report, spec, cache_dir, calibrated_shard)
+        shard_steps = [record["perfbench_step_s"] for record in cold.records.values()]
+        cold_calibrated = cold_wall * (
+            sum(cal for __, cal in shard_steps) / sum(raw for raw, __ in shard_steps)
+        )
+        report.notes["cold_shard_steps_s"] = shard_steps
+        for setup_raw, __ in timer.steps["setup"]:
+            report.sample("setup_s", setup_raw)
         report.sample("cold_s", cold_wall)
         log("table1_campaign cold: %.3f s" % cold_wall)
         trace_bytes = check_traces(report, cold, cache_dir)
@@ -239,11 +266,19 @@ def run_campaign(report: Report, seconds: float) -> Optional[SpanRecorder]:
             report.sample("warm_s", warm)
         log("table1_campaign warm: %d repetitions, median %.3f s"
             % (reps, median(report.timings["warm_s"])))
-        report.set_end_to_end({
-            "setup_s": median(report.timings["setup_s"]),
-            "sim_s_per_wall_s": simulated_seconds(spec) / cold_wall,
-            "peak_rss_mb": peak_rss_mb(WORKERS),
-        })
+        rss = peak_rss_mb(WORKERS)
+        report.set_end_to_end(
+            {
+                "setup_s": median(report.timings["setup_s"]),
+                "sim_s_per_wall_s": simulated_seconds(spec) / cold_wall,
+                "peak_rss_mb": rss,
+            },
+            {
+                "setup_s": median([cal for __, cal in timer.steps["setup"]]),
+                "sim_s_per_wall_s": simulated_seconds(spec) / cold_calibrated,
+                "peak_rss_mb": rss,
+            },
+        )
         report.extra["campaign_cold_s"] = cold_wall
         report.extra["campaign_warm_s"] = median(report.timings["warm_s"])
         _witness(report, cold, trace_bytes)
@@ -253,13 +288,16 @@ def run_campaign(report: Report, seconds: float) -> Optional[SpanRecorder]:
 
 
 def _witness(report: Report, cold, trace_bytes: int) -> None:
-    report.counters = {
+    counters = {
         "shards": cold.counts["shards"],
         "executed": cold.counts["executed"],
         "trace_events": sum(r.get("trace_events", 0) for r in cold.records.values()),
         "trace_bytes": trace_bytes,
     }
-    report.fingerprints = {"manifest": cold.fingerprint}
+    report.witnesses = {
+        "campaign": {"counters": counters, "fingerprints": {"manifest": cold.fingerprint}}
+    }
+    report.counters = dict(counters)
 
 
 def _traced_pass(report: Report, spec, work: Path) -> SpanRecorder:
@@ -267,13 +305,13 @@ def _traced_pass(report: Report, spec, work: Path) -> SpanRecorder:
     the workers) and a traced warm repetition on the same seed."""
     from repro.campaign import runner as runner_module
 
-    plain, plain_wall = run_cold(report, spec, work / "plain", None)
+    plain, plain_wall = run_cold(report, spec, work / "plain")
     plain_warm = run_warm(report, spec, work / "plain", plain, None)
     trace_bytes = check_traces(report, plain, work / "plain")
     recorder = SpanRecorder()
     # No span around the traced cold run: the coordinator only waits on
     # its workers there, and the workers record their own spans.
-    spanned, spanned_wall = run_cold(report, spec, work / "traced", recorder)
+    spanned, spanned_wall = run_cold(report, spec, work / "traced", traced_shard)
     report.outcome.check(
         spanned.fingerprint == plain.fingerprint,
         "traced cold manifest %s != untraced %s" % (spanned.fingerprint, plain.fingerprint),

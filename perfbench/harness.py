@@ -10,18 +10,19 @@ import platform
 import resource
 import subprocess
 import sys
-import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional
 
-from perfbench.calibration import Calibration, background_samples, host_factor
+from perfbench.calibration import Calibration, StepTimer
 from perfbench.spans import SpanRecorder
 from perfbench.stats import Outcome, summarize
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / ".perfbench_out"
 WORK_DIR = ROOT / ".perfbench_work"
+#: Committed witnesses (counters and fingerprints) per workload, size,
+#: seed and unit; see :func:`check_expected`.
+EXPECTED_PATH = Path(__file__).resolve().parent / "expected.json"
 
 #: Gated metrics: every workload reports each of them.
 END_TO_END_UNITS = {
@@ -129,67 +130,31 @@ class Report:
         self.end_to_end: Dict[str, float] = {}
         self.extra: Dict[str, float] = {}
         self.counters: Dict[str, float] = {}
-        self.fingerprints: Dict[str, str] = {}
+        #: Unit label (an instance, the campaign, the announce stream) ->
+        #: its counters and fingerprints, compared with ``expected.json``.
+        self.witnesses: Dict[str, dict] = {}
         self.layers: Dict[str, float] = {}
         self.notes: Dict[str, object] = {}
         self._calibration: Optional[Calibration] = None
+        self._timers: list = []
 
     def sample(self, name: str, seconds: float) -> None:
         self.timings.setdefault(name, []).append(seconds)
 
-    def calibrate(self, count: int = 2, group: str = "run") -> list:
-        """Time the calibration work *count* times, between timed units,
-        and return the samples.  *group* names what the samples calibrate:
-        ``run`` (the phase ``sim_s_per_wall_s`` times) or ``setup``."""
-        calibration = self._calibration_work()
-        samples = [calibration() for __ in range(count)]
-        for value in samples:
-            self.sample("calibration_%s_s" % group, value)
-        return samples
-
-    @contextmanager
-    def calibrating(self, interval: float = 0.5, group: str = "run"):
-        """Time the calibration work every *interval* seconds in a helper
-        process while the block runs: for a phase spent waiting on worker
-        processes, which samples taken before and after miss.  The
-        samples then also carry the workers' competition for the CPUs,
-        the same on every commit."""
-        with background_samples(interval) as samples:
-            yield
-        for value in samples:
-            self.sample("calibration_%s_s" % group, value)
-
-    def _calibration_work(self) -> Calibration:
+    def timer(self) -> StepTimer:
+        """A calibrated step timer; its calibration samples go into the
+        details file."""
         if self._calibration is None:
             self._calibration = Calibration()
-        return self._calibration
+        timer = StepTimer(self._calibration)
+        self._timers.append(timer)
+        return timer
 
-    def set_end_to_end(
-        self, raw: Dict[str, float], calibrated: Optional[Dict[str, float]] = None
-    ) -> None:
-        """Record the end-to-end metrics at the reference host speed.
-
-        A shared host runs everything faster or slower for seconds to
-        minutes at a time.  The calibration work, timed next to the
-        phases the metrics time, measures that speed as a factor
-        ``f = median(calibration) / reference``: durations are divided by
-        ``f`` and rates multiplied by it.  A workload that calibrated each
-        unit itself passes the results as *calibrated*; otherwise the
-        ``run`` samples scale ``sim_s_per_wall_s`` and the ``setup``
-        samples (or the ``run`` ones) scale ``setup_s``.  Memory is not
-        scaled.  The raw values stay in the details file."""
-        if calibrated is None:
-            factors = {"sim_s_per_wall_s": host_factor(self.timings["calibration_run_s"])}
-            factors["setup_s"] = host_factor(
-                self.timings.get("calibration_setup_s")
-                or self.timings["calibration_run_s"]
-            )
-            self.notes["calibration_factors"] = factors
-            calibrated = {
-                name: value / factors[name] if END_TO_END_UNITS[name] == "s"
-                else value * factors.get(name, 1.0)
-                for name, value in raw.items()
-            }
+    def set_end_to_end(self, raw: Dict[str, float], calibrated: Dict[str, float]) -> None:
+        """Record the end-to-end metrics: *calibrated* are the gated
+        values (durations divided by the host factor of the calibration
+        samples taken around them, rates multiplied by it, memory as
+        measured); *raw* stay in the details file next to them."""
         self.notes["peak_rss_mb_self_children"] = [
             resource.getrusage(who).ru_maxrss / 1024.0
             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
@@ -223,6 +188,10 @@ class Report:
         }
 
     def details(self) -> dict:
+        timings = dict(self.timings)
+        calibration = [value for timer in self._timers for value in timer.samples]
+        if calibration:
+            timings["calibration_s"] = calibration
         return {
             "workload": self.workload,
             "seed": self.seed,
@@ -233,12 +202,12 @@ class Report:
             "failures": self.outcome.failures,
             "timings": {
                 name: dict(summarize(values), samples=values)
-                for name, values in self.timings.items()
+                for name, values in timings.items()
             },
             "end_to_end": self.end_to_end,
             "workload_figures": self.extra,
             "counters": self.counters,
-            "fingerprints": self.fingerprints,
+            "witnesses": self.witnesses,
             "layers": self.layers,
             "notes": self.notes,
         }
@@ -300,28 +269,66 @@ def peak_rss_mb(children: int = 0) -> float:
 
 
 # ----------------------------------------------------------------------
-# work-counter ledger
+# committed witnesses and the work-counter ledger
 # ----------------------------------------------------------------------
 
 
+def load_expected() -> dict:
+    try:
+        return json.loads(EXPECTED_PATH.read_text())
+    except FileNotFoundError:
+        return {}
+
+
+def check_expected(report: Report, expected: Optional[dict] = None) -> None:
+    """Compare every unit's counters and fingerprints with the values
+    committed in ``expected.json`` for this workload, size and seed; a
+    difference means the program's results changed and fails the run.
+    A traced run checks the subset of units it runs.  Seeds without
+    committed values are only noted."""
+    if expected is None:
+        expected = load_expected()
+    recorded = expected.get(report.workload, {}).get(report.size, {}).get(str(report.seed))
+    if recorded is None:
+        report.notes["expected"] = "no committed witnesses for this seed"
+        return
+    for label, witness in sorted(report.witnesses.items()):
+        report.outcome.check(
+            recorded.get(label) == witness,
+            "%s differs from expected.json: committed %r, observed %r"
+            % (label, recorded.get(label), witness),
+        )
+    report.notes["expected"] = "checked %d units" % len(report.witnesses)
+
+
+def record_expected(report: Report) -> None:
+    """Write this run's witnesses into ``expected.json`` (replacing the
+    seed's entry): for seeds added to the gate, or after a change that
+    is meant to alter the program's results."""
+    expected = load_expected()
+    sizes = expected.setdefault(report.workload, {})
+    sizes.setdefault(report.size, {})[str(report.seed)] = report.witnesses
+    EXPECTED_PATH.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n")
+
+
+
 def check_ledger(report: Report) -> None:
-    """Compare counters and fingerprints with earlier runs of the same
-    workload, seed, size and code in this checkout; a difference is a
-    drift and fails the run.  The first run records them."""
+    """Compare the counters (in a traced run also the per-layer work
+    counters) and the witnesses with earlier runs of the same workload,
+    seed, size and code in this checkout; a difference is a drift and
+    fails the run.  The first run records them."""
     path = OUT_DIR / "ledger.json"
     key = "%s|%s|%d|trace%d|%s" % (
         report.workload, report.size, report.seed, int(report.trace), code_digest()
     )
-    entry = {"counters": report.counters, "fingerprints": report.fingerprints}
+    entry = {"counters": report.counters, "witnesses": report.witnesses}
     try:
         ledger = json.loads(path.read_text())
     except (OSError, ValueError):
         ledger = {}
     if key in ledger:
         report.expect_same("ledger counters", ledger[key]["counters"], entry["counters"])
-        report.expect_same(
-            "ledger fingerprints", ledger[key]["fingerprints"], entry["fingerprints"]
-        )
+        report.expect_same("ledger witnesses", ledger[key]["witnesses"], entry["witnesses"])
         return
     ledger[key] = entry
     OUT_DIR.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,15 @@ the same seed and prints the per-layer metrics.  ``--size smoke`` runs a
 tiny version of the workload (self-tests).  The full result, host facts,
 counters and fingerprints are written to ``.perfbench_out/``.  The exit
 code is 0 only when every check passed.
+
+The counters and fingerprints of each unit of work must equal the values
+committed in ``perfbench/expected.json`` for the seed.  ``--record``
+writes them there instead of comparing (``--trace 0``; a short
+``--seconds`` is enough):
+
+    for seed in 1 2 3 4 5 6 7 8 9 10; do
+        python3 perfbench/run.py --workload paper_t7 --seed $seed --seconds 1 --record
+    done
 """
 
 from __future__ import annotations
@@ -32,12 +41,19 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=("full", "smoke"), default="full")
-    return parser.parse_args(argv)
+    parser.add_argument("--record", action="store_true",
+                        help="write the witnesses into perfbench/expected.json")
+    args = parser.parse_args(argv)
+    if args.record and args.trace:
+        parser.error("--record needs --trace 0: a traced run covers only some units")
+    return args
 
 
 def run(args: argparse.Namespace):
     """Execute one workload; returns its :class:`~perfbench.harness.Report`."""
-    from perfbench.harness import Report, check_ledger, write_outputs
+    from perfbench.harness import (
+        Report, check_expected, check_ledger, record_expected, write_outputs,
+    )
 
     report = Report(args.workload, args.seed, args.size, bool(args.trace))
     if args.workload in ("paper_t7", "mega_swarm"):
@@ -49,6 +65,11 @@ def run(args: argparse.Namespace):
     else:
         from perfbench.tracker import run_tracker as runner
     recorder = runner(report, args.seconds)
+    if args.record:
+        if report.outcome.correct:
+            record_expected(report)
+    else:
+        check_expected(report)
     check_ledger(report)
     write_outputs(report, recorder)
     return report

@@ -2,9 +2,9 @@
 
 Both run the default (fast) engine.  An *instance* is one input set made
 from the seed: it is built (set-up, timed on its own), run over a fixed
-simulated window (timed) and checked.  Repeating an instance must give
-the same counters and fingerprints; a difference is a drift and fails the
-run.
+simulated window (timed, in equal chunks with the calibration work
+between them) and checked.  Repeating an instance must give the same
+counters and fingerprints; a difference is a drift and fails the run.
 """
 
 from __future__ import annotations
@@ -15,22 +15,23 @@ import time
 from random import Random
 from typing import Dict, List, Optional
 
-from perfbench.harness import (
-    Report, add_layer_counters, host_factor, layer_table, log, peak_rss_mb,
-)
+from perfbench.calibration import StepTimer
+from perfbench.harness import Report, add_layer_counters, layer_table, log, peak_rss_mb
 from perfbench.spans import EngineSpans, SpanRecorder, traced
 from perfbench.stats import median
 
 #: Sizes: ``full`` is the benchmark, ``smoke`` the self-test size.
 PAPER_SIZES = {
-    "full": {"instances": 8, "window": 50.0, "traced_instances": 4},
-    "smoke": {"instances": 2, "window": 5.0, "traced_instances": 1},
+    "full": {"instances": 8, "window": 50.0, "chunks": 10, "traced_instances": 4},
+    "smoke": {"instances": 2, "window": 5.0, "chunks": 2, "traced_instances": 1},
 }
 MEGA_SIZES = {
-    "full": {"leechers": 1000, "pieces": 2048, "arrivals": 60.0, "window": 40.0,
-             "instances": 3, "traced_instances": 1, "extra_builds": 2},
-    "smoke": {"leechers": 40, "pieces": 64, "arrivals": 4.0, "window": 8.0,
-              "instances": 2, "traced_instances": 1, "extra_builds": 1},
+    "full": {"leechers": 1000, "pieces": 2048, "initial_pieces": 5, "arrivals": 60.0,
+             "window": 40.0, "chunks": 20, "instances": 2, "traced_instances": 1,
+             "extra_builds": 6},
+    "smoke": {"leechers": 40, "pieces": 64, "initial_pieces": 1, "arrivals": 4.0,
+              "window": 8.0, "chunks": 2, "instances": 2, "traced_instances": 1,
+              "extra_builds": 1},
 }
 PAPER_TORRENT = 7
 
@@ -50,6 +51,17 @@ def piece_set_fingerprint(swarm) -> str:
     return digest.hexdigest()
 
 
+def run_window(timer: StepTimer, swarm, window: float, chunks: int, finish):
+    """Advance *swarm* by *window* simulated seconds in *chunks* equal
+    steps of the ``run`` phase; *finish* (``Swarm.run`` or the harness's
+    ``run``) takes the last step, and its result is returned."""
+    simulator = swarm.simulator
+    start = simulator.now
+    for index in range(1, chunks):
+        timer.step("run", swarm.run, start + window * index / chunks - simulator.now)
+    return timer.step("run", finish, start + window - simulator.now)
+
+
 def conserved(result) -> bool:
     """Every byte uploaded was downloaded by someone (fluid, so within a
     relative 1e-9)."""
@@ -64,7 +76,7 @@ def conserved(result) -> bool:
 
 
 def paper_instance(
-    seed: int, window: float, recorder: Optional[SpanRecorder] = None
+    seed: int, size: dict, timer: StepTimer, recorder: Optional[SpanRecorder] = None
 ) -> dict:
     """Build torrent 7 with an in-memory trace on the local peer, run the
     window, then replay the trace and compute the Fig. 1 summary."""
@@ -75,14 +87,14 @@ def paper_instance(
 
     scenario = scenario_by_id(PAPER_TORRENT)
     trace = TraceRecorder()
-    gc.collect()
-    started = time.perf_counter()
-    if recorder is None:
-        harness = build_experiment(scenario, seed=seed, trace_recorder=trace)
-    else:
+    def build():
+        if recorder is None:
+            return build_experiment(scenario, seed=seed, trace_recorder=trace)
         with recorder.span("workloads.build"):
-            harness = build_experiment(scenario, seed=seed, trace_recorder=trace)
-    built = time.perf_counter()
+            return build_experiment(scenario, seed=seed, trace_recorder=trace)
+
+    gc.collect()
+    harness = timer.step("setup", build)
     swarm = harness.swarm
     simulator = swarm.simulator
     engine_spans = None
@@ -90,10 +102,10 @@ def paper_instance(
         engine_spans = EngineSpans(recorder)
         simulator.set_profiler(engine_spans)
     moved_before = swarm.result.bytes_moved
-    live = harness.run(window)
+    live = run_window(timer, swarm, size["window"], size["chunks"], harness.run)
     trace_fingerprint = trace.close()
-    finished = time.perf_counter()
     simulator.set_profiler(None)
+    finished = time.perf_counter()
     if recorder is None:
         replayed = replay_instrumentation(trace)
         summary = summarize_entropy(replayed)
@@ -116,8 +128,6 @@ def paper_instance(
             engine_spans.queue_depth_max,
         )
     return {
-        "setup_s": built - started,
-        "run_s": finished - built,
         "warm_s": analysed - finished,
         "window_blocks": window_blocks,
         "replay_matches": (
@@ -163,32 +173,26 @@ def _record_or_compare(report: Report, recorded: Dict[str, dict], label: str, re
     )
 
 
-def _totals(recorded: Dict[str, dict]) -> (dict, dict):
+def _witness(report: Report, recorded: Dict[str, dict]) -> None:
+    """Each instance is a unit of the committed witnesses; the counters
+    are summed over them."""
+    report.witnesses = recorded
     counters: Dict[str, float] = {}
-    fingerprints = {}
     for label in sorted(recorded):
         for name, value in recorded[label]["counters"].items():
             counters[name] = counters.get(name, 0) + value
-        digest = hashlib.sha256()
-        for name in sorted(recorded[label]["fingerprints"]):
-            digest.update(recorded[label]["fingerprints"][name].encode())
-        fingerprints[label] = digest.hexdigest()
-    return counters, fingerprints
+    report.counters = counters
 
 
 def run_instances(
     report: Report, seeds: List[int], window: float, seconds: float, instance,
-    calibrate: bool,
 ):
     """Timed run shared by both workloads: one pass over every instance,
-    then repeats (instance 0 first, at least once) while the budget lasts.
-    Each repeat is a drift check and one more sample for that instance's
-    median; the rate is the windows' total over the medians' total.
-
-    With *calibrate*, the calibration work runs between instances and each
-    instance's times are calibrated by the samples taken just before and
-    just after it, which follow the host's speed better than one factor
-    for the run."""
+    then repeats (instance 0 first) while the budget lasts.  Each repeat
+    is a drift check and one more sample for that instance's median; the
+    rate is the windows' total over the medians' total.  Every
+    step of an instance (each build, each chunk of the window) is
+    calibrated by the calibration samples on both sides of it."""
     recorded: Dict[str, dict] = {}
     walls: Dict[int, List[float]] = {}
     calibrated_walls: Dict[int, List[float]] = {}
@@ -196,7 +200,6 @@ def run_instances(
     blocks: Dict[int, float] = {}
     order = list(range(len(seeds)))
     started = time.perf_counter()
-    before = report.calibrate() if calibrate else []
     repeat = 0
     while True:
         if order:
@@ -204,29 +207,26 @@ def run_instances(
         else:
             index = repeat % len(seeds)
             elapsed = time.perf_counter() - started
-            if repeat > 0 and elapsed * (1.0 + 1.0 / (len(seeds) + repeat)) > seconds:
+            if elapsed * (1.0 + 1.0 / (len(seeds) + repeat)) > seconds:
                 break
             repeat += 1
         label = "instance%d" % index
-        result = instance(seeds[index], None)
+        timer = report.timer()
+        result = instance(seeds[index], timer, None)
         _check_instance(report, label, result)
         _record_or_compare(report, recorded, label, result)
-        factor = 1.0
-        if calibrate:
-            after = report.calibrate(int(1 + result["run_s"]))
-            factor = host_factor(before + after)
-            before = after
-        walls.setdefault(index, []).append(result["run_s"])
-        calibrated_walls.setdefault(index, []).append(result["run_s"] / factor)
+        run_raw, run_calibrated = timer.total("run")
+        walls.setdefault(index, []).append(run_raw)
+        calibrated_walls.setdefault(index, []).append(run_calibrated)
         blocks[index] = result["window_blocks"]
-        for setup in [result["setup_s"]] + result.get("extra_setup_s", []):
-            report.sample("setup_s", setup)
-            calibrated_setups.append(setup / factor)
-        report.sample("run_s", result["run_s"])
+        for setup_raw, setup_calibrated in timer.steps["setup"]:
+            report.sample("setup_s", setup_raw)
+            calibrated_setups.append(setup_calibrated)
+        report.sample("run_s", run_raw)
         if "warm_s" in result:
             report.sample("warm_s", result["warm_s"])
-        log("%s %s: setup %.3f s, run %.3f s"
-            % (report.workload, label, result["setup_s"], result["run_s"]))
+        log("%s %s: setup %.3f s, run %.3f s (calibrated %.3f s)"
+            % (report.workload, label, timer.steps["setup"][0][0], run_raw, run_calibrated))
     wall = sum(median(walls[index]) for index in walls)
     calibrated_wall = sum(median(calibrated_walls[index]) for index in walls)
     rss = peak_rss_mb()
@@ -236,27 +236,26 @@ def run_instances(
             "sim_s_per_wall_s": window * len(walls) / wall,
             "peak_rss_mb": rss,
         },
-        calibrated={
+        {
             "setup_s": median(calibrated_setups),
             "sim_s_per_wall_s": window * len(walls) / calibrated_wall,
             "peak_rss_mb": rss,
         },
     )
     report.extra["blocks_per_s"] = sum(blocks.values()) / wall
-    report.counters, report.fingerprints = _totals(recorded)
+    _witness(report, recorded)
 
 
 def run_paper(report: Report, seconds: float) -> Optional[SpanRecorder]:
     size = PAPER_SIZES[report.size]
-    window = size["window"]
     seeds = sub_seeds("paper_t7", report.seed, size["instances"])
 
-    def instance(instance_seed, recorder):
-        return paper_instance(instance_seed, window, recorder)
+    def instance(instance_seed, timer, recorder):
+        return paper_instance(instance_seed, size, timer, recorder)
 
     if report.trace:
         return _traced_pass(report, seeds[: size["traced_instances"]], instance)
-    run_instances(report, seeds, window, seconds, instance, calibrate=True)
+    run_instances(report, seeds, size["window"], seconds, instance)
     report.extra["campaign_warm_s"] = median(report.timings["warm_s"])
     return None
 
@@ -268,12 +267,19 @@ def run_paper(report: Report, seconds: float) -> Optional[SpanRecorder]:
 
 def build_mega(seed: int, size: dict):
     """One seed plus ``size["leechers"]`` arrivals evenly spaced over the
-    first ``size["arrivals"]`` seconds, one-block 16 KiB pieces.  The
-    leechers upload at 32, 64, 96 or 128 KiB/s, a quarter each, in an
-    order shuffled by *seed*; the seed, the only source at first, uploads
-    at 128 KiB/s.  Fixing the arrival times and the capacity mix keeps
-    the amount of connection work in the window from hinging on a few
-    draws; *seed* still drives the order and every choice in the swarm."""
+    first ``size["arrivals"]`` seconds, one-block 16 KiB pieces.  Each
+    leecher arrives holding ``size["initial_pieces"]`` pieces drawn by
+    *seed* and uploads at 4, 8, 12 or 16 KiB/s, a quarter each, in an
+    order shuffled by *seed*; the seed uploads at 128 KiB/s.
+
+    Leechers that arrive empty depend on the one seed until pieces
+    spread, and when that happens varies so much with the seed that the
+    blocks moved in the window ranged over a factor of four.  A few
+    pieces each give every pair of leechers something to trade from the
+    start, so the transfer volume is set by the capacities (within 2 %
+    across seeds); the low capacities keep it near 7000 blocks, so
+    joins, bitfields and the HAVE fan-out stay the bulk of the work."""
+    from repro.protocol.bitfield import Bitfield
     from repro.protocol.metainfo import make_metainfo
     from repro.sim.config import KIB, PeerConfig, SwarmConfig
     from repro.sim.swarm import Swarm
@@ -284,33 +290,37 @@ def build_mega(seed: int, size: dict):
         piece_size=16 * KIB, block_size=16 * KIB,
     )
     swarm = Swarm(metainfo, SwarmConfig(seed=seed))
-    capacities = [(32, 64, 96, 128)[index % 4] for index in range(leechers)]
-    Random(seed).shuffle(capacities)
+    rng = Random(seed)
+    capacities = [(4, 8, 12, 16)[index % 4] for index in range(leechers)]
+    rng.shuffle(capacities)
     swarm.add_peer(config=PeerConfig(upload_capacity=128 * KIB), is_seed=True)
     for index, capacity in enumerate(capacities):
+        have = rng.sample(range(pieces), size["initial_pieces"])
         swarm.schedule_arrival(
             size["arrivals"] * index / leechers,
             config=PeerConfig(upload_capacity=capacity * KIB),
+            initial_bitfield=Bitfield(pieces, have=have),
         )
     return swarm
 
 
-def mega_instance(seed: int, size: dict, recorder: Optional[SpanRecorder] = None) -> dict:
-    gc.collect()
-    started = time.perf_counter()
-    if recorder is None:
-        swarm = build_mega(seed, size)
-    else:
+def mega_instance(
+    seed: int, size: dict, timer: StepTimer, recorder: Optional[SpanRecorder] = None
+) -> dict:
+    def build():
+        if recorder is None:
+            return build_mega(seed, size)
         with recorder.span("workloads.build"):
-            swarm = build_mega(seed, size)
-    built = time.perf_counter()
+            return build_mega(seed, size)
+
+    gc.collect()
+    swarm = timer.step("setup", build)
     simulator = swarm.simulator
     engine_spans = None
     if recorder is not None:
         engine_spans = EngineSpans(recorder)
         simulator.set_profiler(engine_spans)
-    result = swarm.run(size["window"])
-    finished = time.perf_counter()
+    result = run_window(timer, swarm, size["window"], size["chunks"], swarm.run)
     simulator.set_profiler(None)
     block_size = swarm.metainfo.geometry.block_size
     if recorder is not None:
@@ -320,8 +330,6 @@ def mega_instance(seed: int, size: dict, recorder: Optional[SpanRecorder] = None
             engine_spans.queue_depth_max,
         )
     return {
-        "setup_s": built - started,
-        "run_s": finished - built,
         "window_blocks": result.bytes_moved / block_size,
         "conserved": conserved(result),
         "counters": {
@@ -341,25 +349,17 @@ def run_mega(report: Report, seconds: float) -> Optional[SpanRecorder]:
     size = MEGA_SIZES[report.size]
     seeds = sub_seeds("mega_swarm", report.seed, size["instances"])
 
-    def instance(instance_seed, recorder):
-        extra_setup = []
+    def instance(instance_seed, timer, recorder):
         if recorder is None:
             # The build alone is quick: time a few more for a steadier median.
             for __ in range(size["extra_builds"]):
                 gc.collect()
-                began = time.perf_counter()
-                build_mega(instance_seed, size)
-                extra_setup.append(time.perf_counter() - began)
-        result = mega_instance(instance_seed, size, recorder)
-        result["extra_setup_s"] = extra_setup
-        return result
+                timer.step("setup", build_mega, instance_seed, size)
+        return mega_instance(instance_seed, size, timer, recorder)
 
     if report.trace:
         return _traced_pass(report, seeds[: size["traced_instances"]], instance)
-    # Not calibrated: the work in a mega-swarm window varies with the seed
-    # more than the host's speed does, and in two of three sets of runs
-    # the calibration widened the spread instead of narrowing it.
-    run_instances(report, seeds, size["window"], seconds, instance, calibrate=False)
+    run_instances(report, seeds, size["window"], seconds, instance)
     return None
 
 
@@ -379,25 +379,28 @@ def _traced_pass(report: Report, seeds: List[int], instance):
     warm: List[float] = []
     for index, instance_seed in enumerate(seeds):
         label = "instance%d" % index
-        plain = instance(instance_seed, None)
+        plain_timer, traced_timer = StepTimer(), StepTimer()
+        plain = instance(instance_seed, plain_timer, None)
         _check_instance(report, label, plain)
         _record_or_compare(report, recorded, label, plain)
         with traced(recorder):
-            spanned = instance(instance_seed, recorder)
+            spanned = instance(instance_seed, traced_timer, recorder)
         _check_instance(report, label + " traced", spanned)
         _record_or_compare(report, recorded, label, spanned)
-        plain_wall += plain["run_s"]
-        traced_wall += spanned["run_s"]
+        plain_run = plain_timer.total("run")[0]
+        traced_run = traced_timer.total("run")[0]
+        plain_wall += plain_run
+        traced_wall += traced_run
         plain_blocks += plain["window_blocks"]
         if "warm_s" in plain:
             warm.append(plain["warm_s"])
         log("%s %s: untraced %.3f s, traced %.3f s"
-            % (report.workload, label, plain["run_s"], spanned["run_s"]))
+            % (report.workload, label, plain_run, traced_run))
     report.layers = layer_table(recorder)
     report.layers["traced.overhead_pct"] = 100.0 * (traced_wall / plain_wall - 1.0)
     report.layers["blocks_per_s"] = plain_blocks / plain_wall
     if warm:
         report.layers["campaign_warm_s"] = median(warm)
-    report.counters, report.fingerprints = _totals(recorded)
+    _witness(report, recorded)
     add_layer_counters(report)
     return recorder

@@ -22,7 +22,9 @@ sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
 from perfbench import stats  # noqa: E402
-from perfbench.harness import END_TO_END_UNITS, PER_LAYER_UNITS  # noqa: E402
+from perfbench.harness import (  # noqa: E402
+    END_TO_END_UNITS, PER_LAYER_UNITS, Report, check_expected,
+)
 from perfbench.spans import SpanRecorder  # noqa: E402
 
 
@@ -102,6 +104,32 @@ class TestFailureAccounting:
             stats.Outcome().add(1, 2)
 
 
+class TestExpectedWitnesses:
+    WITNESS = {"counters": {"events": 10}, "fingerprints": {"piece_sets": "ab"}}
+
+    def _report(self, witnesses):
+        report = Report("paper_t7", 1, "full", trace=False)
+        report.witnesses = witnesses
+        return report
+
+    def test_matching_units_pass(self):
+        report = self._report({"instance0": self.WITNESS})
+        check_expected(report, {"paper_t7": {"full": {"1": {"instance0": self.WITNESS}}}})
+        assert report.outcome.correct and report.outcome.attempted == 1
+
+    def test_changed_result_fails(self):
+        changed = {"counters": {"events": 11}, "fingerprints": {"piece_sets": "ab"}}
+        report = self._report({"instance0": changed, "instance1": self.WITNESS})
+        check_expected(report, {"paper_t7": {"full": {"1": {"instance0": self.WITNESS}}}})
+        assert (report.outcome.attempted, report.outcome.failed) == (2, 2)
+
+    def test_unrecorded_seed_is_only_noted(self):
+        report = self._report({"instance0": self.WITNESS})
+        check_expected(report, {"paper_t7": {"full": {"2": {"instance0": self.WITNESS}}}})
+        assert report.outcome.attempted == 0
+        assert "no committed" in report.notes["expected"]
+
+
 class TestSpans:
     def test_self_time_excludes_children(self):
         recorder = SpanRecorder()
@@ -157,5 +185,3 @@ def test_benchmark_json_matches_the_harness():
     assert [m["name"] for m in spec["end_to_end"]] == list(END_TO_END_UNITS)
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == PER_LAYER_UNITS
     assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == END_TO_END_UNITS
-    setup = next(m for m in spec["end_to_end"] if m["name"] == "setup_s")
-    assert setup["bound"] == max(m["bound"] for m in spec["end_to_end"])

@@ -2,9 +2,10 @@
 loopback UDP, driven by one asyncio client over two sockets.
 
 The request stream is made from the seed.  16 swarms of 500 peers
-register (a ramp of ``started`` announces), then a mix of keep-alive,
-``completed`` and ``stopped`` announces follows; every ``stopped`` is
-followed by a fresh peer's ``started``, so the swarms keep their size.
+register (a ramp of ``started`` announces), then a mix follows with the
+event shares of ``benchmarks/bench_tracker.py``: about 1 % ``completed``,
+1 % ``stopped`` and the rest keep-alives.  Every ``stopped`` is followed
+by a fresh peer's ``started``, so the swarms keep their size.
 Each swarm talks through one socket, so the server sees every swarm's
 announces in stream order and the expected reply of each is known
 exactly.
@@ -15,18 +16,18 @@ exactly.
   request timed from when it was due; how late the generator sent is
   reported as well.
 
-The stream is also replayed in-process, three times, through
+The stream is also replayed in-process, twice, through
 ``TrackerServer.handle_datagram`` of a server object that is never
 started; its replies must equal the wire replies byte for byte.  Those
 replays give the gated throughput: ``sim_s_per_wall_s`` is the stream's
 timeline seconds (registrations spread over ``RAMP_SECONDS``, the mix at
 the rate the population re-announcing every ``INTERVAL`` seconds would
 produce) served per wall second of the server's request path, the median
-replay, calibrated.  The loopback round trip moved by a third between
-identical runs on a shared host, so its capacity and latencies are
-reported as workload figures.  The traced pass times one more replay per
-layer: wire codec, service and sampler; the rest of the wire round trip
-is sockets and the event loop.
+replay, each chunk of ``REPLAY_STEP`` requests calibrated.  The loopback
+round trip moved by a third between identical runs on a shared host, so
+its capacity and latencies are reported as workload figures.  The
+traced pass times one more replay per layer: wire codec, service and
+sampler; the rest of the wire round trip is sockets and the event loop.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional
 
-from perfbench.calibration import host_factor
+from perfbench.calibration import StepTimer
 from perfbench.harness import ROOT, Report, layer_table, log
 from perfbench.spans import SpanRecorder, traced
 from perfbench.stats import median, percentile, tail_percentile
 
 SIZES = {
     "full": {"swarms": 16, "peers": 500, "closed_mix": 8000, "open_mix": 7500,
-             "rate": 1500.0, "extra_starts": 2, "replays": 3},
+             "rate": 1500.0, "extra_starts": 10, "replays": 2},
     "smoke": {"swarms": 2, "peers": 20, "closed_mix": 60, "open_mix": 60,
               "rate": 200.0, "extra_starts": 1, "replays": 2},
 }
@@ -64,6 +65,13 @@ RAMP_SECONDS = 600.0
 INTERVAL = 1800.0
 REPLY_TIMEOUT = 10.0
 OPEN_LOOP_CAP = 64
+#: Requests per timed step of an in-process replay.
+REPLAY_STEP = 1000
+#: Event shares of the steady mix, from the load of
+#: ``benchmarks/bench_tracker.py`` (every 97th announce a completion,
+#: every 89th a departure, the rest keep-alives).
+COMPLETED_SHARE = 1.0 / 97.0
+STOPPED_SHARE = 1.0 / 89.0
 START_TIMEOUT = 60.0
 _PORT_LINE = re.compile(r"udp://([0-9.]+):(\d+)")
 
@@ -140,15 +148,15 @@ def make_stream(seed: int, size: dict) -> (List[bytes], List[Op], int, int):
         peer = rng.choice(members[swarm])
         is_seed = active[swarm][peer]
         draw = rng.random()
-        if draw < 0.8:
-            emit(swarm, peer, "", is_seed, mix_step)
-        elif draw < 0.9:
+        if draw < COMPLETED_SHARE:
             emit(swarm, peer, "" if is_seed else "completed", True, mix_step)
-        else:
+        elif draw < COMPLETED_SHARE + STOPPED_SHARE:
             emit(swarm, peer, "stopped", is_seed, mix_step)
             emit(swarm, next_peer[swarm], "started", False, mix_step)
             next_peer[swarm] += 1
             mixed += 1
+        else:
+            emit(swarm, peer, "", is_seed, mix_step)
         mixed += 1
     return infohashes, ops, len(ramp), closed_ops or len(ops)
 
@@ -211,21 +219,27 @@ def replies_fingerprint(replies: List[Optional[bytes]]) -> str:
 # ----------------------------------------------------------------------
 
 
+def _default_sigint() -> None:
+    """Give the server the default SIGINT action, which ``stop`` relies on:
+    a process started in the background inherits SIGINT ignored, and
+    the server then outlived every ``stop`` by its 10-s timeout."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 class ServerProcess:
     """``repro tracker serve`` on ephemeral loopback ports."""
 
     def __init__(self, service_seed: int) -> None:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(ROOT / "src")
-        self.started = time.perf_counter()
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "tracker", "serve", "--host", "127.0.0.1",
              "--port", "0", "--udp-port", "0", "--stats-interval", "0",
              "--seed", str(service_seed)],
             cwd=str(ROOT), env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            preexec_fn=_default_sigint,
         )
         self.port = self._wait_for_port()
-        self.setup_s = time.perf_counter() - self.started
 
     def _wait_for_port(self) -> int:
         deadline = time.monotonic() + START_TIMEOUT
@@ -383,10 +397,11 @@ async def drive(port: int, infohashes, ops: List[Op], closed_ops: int, rate: flo
 # ----------------------------------------------------------------------
 
 
-def replay_in_process(service_seed: int, infohashes, ops: List[Op]):
+def replay_in_process(service_seed: int, infohashes, ops: List[Op], timer: StepTimer):
     """The same stream through a never-started ``TrackerServer`` over a
-    service configured like ``tracker serve``'s; returns the replies and
-    the wall seconds of the ``handle_datagram`` calls alone."""
+    service configured like ``tracker serve``'s; returns the replies.  The
+    ``handle_datagram`` calls are the ``replay`` steps of *timer*, in
+    chunks of ``REPLAY_STEP`` requests."""
     from repro.tracker.server import TrackerServer, build_udp_connect
     from repro.tracker.service import TrackerService
 
@@ -402,10 +417,17 @@ def replay_in_process(service_seed: int, infohashes, ops: List[Op]):
     packets = build_packets(infohashes, ops, connection_ids)
     sources = [addresses[socket_of(op)] for op in ops]
     handle = server.handle_datagram
+
+    def serve(start: int) -> list:
+        end = start + REPLAY_STEP
+        return [handle(packet, source)
+                for packet, source in zip(packets[start:end], sources[start:end])]
+
     gc.collect()
-    started = time.perf_counter()
-    replies = [handle(packet, source) for packet, source in zip(packets, sources)]
-    return replies, time.perf_counter() - started
+    replies = []
+    for start in range(0, len(packets), REPLAY_STEP):
+        replies.extend(timer.step("replay", serve, start))
+    return replies
 
 
 def _check_all(report: Report, ops: List[Op], replies, label: str) -> None:
@@ -428,19 +450,17 @@ def run_tracker(report: Report, seconds: float) -> Optional[SpanRecorder]:
     infohashes, ops, ramp_ops, closed_ops = make_stream(report.seed, size)
     phases["stream"] = time.perf_counter() - began
     # The gated throughput: the whole stream through the server's request
-    # path in-process, repeated, each replay calibrated by the samples
-    # just before and after it (the wire figures below are too noisy on
-    # a shared host to gate on).
+    # path in-process, repeated, each step calibrated (the wire figures
+    # below are too noisy on a shared host to gate on).
     local_fingerprint = None
     walls: List[float] = []
     calibrated_walls: List[float] = []
-    before = report.calibrate()
     for __ in range(size["replays"]):
-        replies, wall = replay_in_process(service_seed, infohashes, ops)
-        after = report.calibrate()
+        timer = report.timer()
+        replies = replay_in_process(service_seed, infohashes, ops, timer)
+        wall, calibrated_wall = timer.total("replay")
         walls.append(wall)
-        calibrated_walls.append(wall / host_factor(before + after))
-        before = after
+        calibrated_walls.append(calibrated_wall)
         fingerprint = replies_fingerprint(replies)
         if local_fingerprint is None:
             _check_all(report, ops, replies, "in-process replies")
@@ -451,18 +471,23 @@ def run_tracker(report: Report, seconds: float) -> Optional[SpanRecorder]:
     recorder = None
     if report.trace:
         recorder = SpanRecorder()
+        traced_timer = StepTimer()
         with traced(recorder):
-            spanned, traced_wall = replay_in_process(service_seed, infohashes, ops)
+            spanned = replay_in_process(service_seed, infohashes, ops, traced_timer)
+        traced_wall = traced_timer.total("replay")[0]
         report.outcome.check(
             replies_fingerprint(spanned) == local_fingerprint,
             "traced in-process replies differ from the untraced ones",
         )
+    # Server starts are timed raw: their median moved between runs while
+    # the calibration samples next to them did not.
+    setup_timer = StepTimer()
     for __ in range(size["extra_starts"]):
-        server = ServerProcess(service_seed)
-        report.sample("setup_s", server.setup_s)
+        server = setup_timer.step("setup", ServerProcess, service_seed)
         server.stop()
-    server = ServerProcess(service_seed)
-    report.sample("setup_s", server.setup_s)
+    server = setup_timer.step("setup", ServerProcess, service_seed)
+    for setup_raw, __ in setup_timer.steps["setup"]:
+        report.sample("setup_s", setup_raw)
     phases["until_wire"] = time.perf_counter() - began
     try:
         wire, closed_wall, latencies, lags = asyncio.run(
@@ -494,13 +519,16 @@ def run_tracker(report: Report, seconds: float) -> Optional[SpanRecorder]:
         "open loop %d at %.0f/s, p50 %.3f ms, p99 %.3f ms"
         % (closed_ops, closed_wall, SOCKETS, len(ops) - closed_ops, size["rate"],
            figures["announce_p50_ms"], figures["announce_p99_ms"]))
-    report.counters = {
+    counters = {
         "announces": len(ops),
         "ramp": ramp_ops,
         "closed_loop": closed_ops,
         "peers_returned": sum(op.expect_peers for op in ops),
     }
-    report.fingerprints = {"replies": local_fingerprint}
+    report.witnesses = {
+        "stream": {"counters": counters, "fingerprints": {"replies": local_fingerprint}}
+    }
+    report.counters = dict(counters)
     if recorder is None:
         timeline = ops[-1].due
         rss = server_rss  # the program; the load generator is left out
@@ -510,8 +538,6 @@ def run_tracker(report: Report, seconds: float) -> Optional[SpanRecorder]:
                 "sim_s_per_wall_s": timeline / median(walls),
                 "peak_rss_mb": rss,
             },
-            # Server starts are not calibrated: process start-up followed
-            # the calibration work no better than it followed nothing.
             calibrated={
                 "setup_s": median(report.timings["setup_s"]),
                 "sim_s_per_wall_s": timeline / median(calibrated_walls),
