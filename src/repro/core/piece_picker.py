@@ -67,7 +67,7 @@ _COUNT_SENTINEL = 2**31 - 1
 def _unpacked_bits(bitfield: Bitfield):
     """A bitfield's pieces as a 0/1 uint8 vector (numpy only)."""
     return _np.unpackbits(
-        _np.frombuffer(bitfield.to_bytes(), dtype=_np.uint8),
+        _np.frombuffer(bitfield._bits, dtype=_np.uint8),
         count=bitfield.num_pieces,
     )
 

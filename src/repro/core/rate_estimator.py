@@ -76,22 +76,19 @@ class RateEstimator:
             self._total = 0.0  # clamp float drift
 
 
-class ByteCounter:
-    """Monotonic byte accounting with a paired :class:`RateEstimator`.
+class ByteCounter(RateEstimator):
+    """A :class:`RateEstimator` that also keeps the unwindowed total.
 
     Connections keep one counter per direction; the choke algorithm reads
     ``rate``, the fairness analysis reads ``total``.
     """
 
-    __slots__ = ("total", "_estimator")
+    __slots__ = ("total",)
 
     def __init__(self, window: float = 20.0):
+        RateEstimator.__init__(self, window)
         self.total = 0.0
-        self._estimator = RateEstimator(window)
 
     def add(self, now: float, num_bytes: float) -> None:
+        RateEstimator.add(self, now, num_bytes)
         self.total += num_bytes
-        self._estimator.add(now, num_bytes)
-
-    def rate(self, now: float) -> float:
-        return self._estimator.rate(now)

@@ -10,21 +10,28 @@ library relies on: counting, iteration over set/missing pieces, and the
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, List, Optional
 
-try:  # optional: only used to parse incoming bitfields faster
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+# The set bits of each byte value, as offsets from the byte's first
+# piece (MSB first): turns a bitmap scan into one table lookup per
+# non-zero byte.
+_BYTE_OFFSETS = tuple(
+    tuple(offset for offset in range(8) if value & (0x80 >> offset))
+    for value in range(256)
+)
 
 
 class Bitfield:
     """Mutable fixed-size bitmap over ``num_pieces`` pieces.
 
-    Alongside the wire-format bitmap, the held indices are mirrored in a
-    plain ``set`` so swarm-scale consumers (the rarity-bucket piece
-    index) can intersect piece sets at C speed instead of probing one
-    bit at a time.
+    The bitmap is the representation.  The held indices are also
+    mirrored in a plain ``set`` so swarm-scale consumers (the
+    rarity-bucket piece index) can intersect piece sets at C speed
+    instead of probing one bit at a time; the mirror is built on the
+    first :attr:`have_set` read and kept current from then on, so
+    bitfields nobody intersects (most remote views) never pay for it.
+    Code that writes ``_bits`` directly must update ``_count`` and, when
+    it is not ``None``, ``_have`` with it.
     """
 
     __slots__ = ("_num_pieces", "_bits", "_count", "_have")
@@ -35,7 +42,7 @@ class Bitfield:
         self._num_pieces = num_pieces
         self._bits = bytearray((num_pieces + 7) // 8)
         self._count = 0
-        self._have: set = set()
+        self._have: Optional[set] = None
         for index in have:
             self.set(index)
 
@@ -51,38 +58,27 @@ class Bitfield:
         if spare and field._bits:
             field._bits[-1] &= 0xFF << spare & 0xFF
         field._count = num_pieces
-        field._have = set(range(num_pieces))
         return field
 
     @classmethod
     def from_bytes(cls, data: bytes, num_pieces: int) -> "Bitfield":
         """Parse a wire-format bitfield; validates length and spare bits."""
+        if num_pieces < 0:
+            raise ValueError("num_pieces must be non-negative")
         expected = (num_pieces + 7) // 8
         if len(data) != expected:
             raise ValueError(
                 "bitfield is %d bytes, expected %d for %d pieces"
                 % (len(data), expected, num_pieces)
             )
-        field = cls(num_pieces)
-        field._bits = bytearray(data)
         spare = expected * 8 - num_pieces
-        if spare and data and data[-1] & ((1 << spare) - 1):
+        if spare and data[-1] & ((1 << spare) - 1):
             raise ValueError("spare bits in final bitfield byte are not zero")
-        if _np is not None:
-            field._have = set(
-                _np.flatnonzero(
-                    _np.unpackbits(
-                        _np.frombuffer(data, dtype=_np.uint8), count=num_pieces
-                    )
-                ).tolist()
-            )
-        else:
-            field._have = {
-                index
-                for index in range(num_pieces)
-                if field._bits[index >> 3] & (0x80 >> (index & 7))
-            }
-        field._count = len(field._have)
+        field = cls.__new__(cls)
+        field._num_pieces = num_pieces
+        field._bits = bytearray(data)
+        field._count = bin(int.from_bytes(data, "big")).count("1")
+        field._have = None
         return field
 
     def to_bytes(self) -> bytes:
@@ -93,7 +89,8 @@ class Bitfield:
         clone = Bitfield(self._num_pieces)
         clone._bits = bytearray(self._bits)
         clone._count = self._count
-        clone._have = set(self._have)
+        if self._have is not None:
+            clone._have = set(self._have)
         return clone
 
     # -- single-piece operations ------------------------------------------
@@ -114,7 +111,8 @@ class Bitfield:
             return False
         self._bits[index >> 3] |= mask
         self._count += 1
-        self._have.add(index)
+        if self._have is not None:
+            self._have.add(index)
         return True
 
     def clear(self, index: int) -> bool:
@@ -125,7 +123,8 @@ class Bitfield:
             return False
         self._bits[index >> 3] &= ~mask & 0xFF
         self._count -= 1
-        self._have.discard(index)
+        if self._have is not None:
+            self._have.discard(index)
         return True
 
     # -- aggregates --------------------------------------------------------
@@ -155,27 +154,25 @@ class Bitfield:
         """The held piece indices as a set (live view — do not mutate).
 
         This is what makes rarity-bucket intersections O(min(|bucket|,
-        |have|)) at C speed; treat it as read-only.  Caveat: the fused
-        HAVE fan-out skips this mirror on remote views owned by
-        matrix-attached peers (matrix-mode accounting is bit-level), so
-        for those views use ``have_indices``/``has``, which read the
-        authoritative bitmap."""
+        |have|)) at C speed; treat it as read-only.  The first read
+        builds it from the bitmap; the same object is then kept current
+        by every later change, so a caller may hold on to it."""
+        if self._have is None:
+            self._have = set(self._held())
         return self._have
 
     def have_indices(self) -> Iterator[int]:
-        """Iterate over indices of held pieces, in increasing order.
+        """Iterate over indices of held pieces, in increasing order."""
+        return iter(self._held())
 
-        Derived from the bitmap, not the ``have_set`` mirror: remote
-        views owned by matrix-attached peers update only their bits on
-        the fused HAVE fan-out, so the bitmap is the authoritative
-        representation."""
-        return iter(
-            [
-                index
-                for index in range(self._num_pieces)
-                if self._bits[index >> 3] & (0x80 >> (index & 7))
-            ]
-        )
+    def _held(self) -> List[int]:
+        offsets = _BYTE_OFFSETS
+        return [
+            (byte_index << 3) + offset
+            for byte_index, value in enumerate(self._bits)
+            if value
+            for offset in offsets[value]
+        ]
 
     def missing_indices(self) -> Iterator[int]:
         """Iterate over indices of missing pieces, in increasing order."""

@@ -555,8 +555,10 @@ class Peer:
 
     def _handle_bitfield(self, connection: Connection, message: BitfieldMessage) -> None:
         incoming = Bitfield.from_bytes(message.bits, self.bitfield.num_pieces)
-        # The bitfield replaces anything previously known on this link.
-        self.picker.peer_left(connection.remote_bitfield)
+        # The bitfield replaces anything previously known on this link
+        # (nothing, on a fresh link).
+        if connection.remote_bitfield.count:
+            self.picker.peer_left(connection.remote_bitfield)
         connection.remote_bitfield = incoming
         self.picker.peer_joined(incoming)
         self._update_interest(connection)
@@ -661,17 +663,14 @@ class Peer:
                     if not bits[byte_index] & bit_mask:
                         bits[byte_index] |= bit_mask
                         remote_view._count += 1
+                        mirror = remote_view._have
+                        if mirror is not None:
+                            mirror.add(piece)
                         picker = receiver.picker
                         slot = picker._slot
                         if slot is not None:
-                            # Matrix-attached receivers never read a remote
-                            # view's ``have_set`` mirror (all matrix-mode
-                            # accounting is bit-level), so skip maintaining
-                            # it — at swarm scale those set.add calls are a
-                            # measurable slice of the flood.
                             picker._matrix.data[slot, piece] += 1
                         else:
-                            remote_view._have.add(piece)
                             picker.remote_has(piece)
                     if (
                         receiver.super_seeding
@@ -909,15 +908,15 @@ class Peer:
         now = self.simulator.now
         candidates: List[ChokeCandidate] = []
         for connection in self.connections.values():
-            # Inlined ByteCounter.rate: one estimator expiry + divide,
-            # without the two-deep call chain, twice per connection per
-            # round across the whole swarm.
-            estimator = connection.downloaded._estimator
-            estimator._expire(now)
-            download_rate = max(0.0, estimator._total) / estimator._window
-            estimator = connection.uploaded._estimator
-            estimator._expire(now)
-            upload_rate = max(0.0, estimator._total) / estimator._window
+            # Inlined ByteCounter.rate: one expiry + divide without the
+            # method call, twice per connection per round across the
+            # whole swarm.
+            counter = connection.downloaded
+            counter._expire(now)
+            download_rate = max(0.0, counter._total) / counter._window
+            counter = connection.uploaded
+            counter._expire(now)
+            upload_rate = max(0.0, counter._total) / counter._window
             if self.observer:
                 self.observer.on_rate_sample(
                     now, connection, download_rate, upload_rate

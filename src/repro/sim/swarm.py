@@ -271,7 +271,7 @@ class Swarm:
 
     def join_peer(self, peer: Peer) -> None:
         """Bring a created-but-offline peer online."""
-        for piece in peer.bitfield.have_indices():
+        for piece in peer.bitfield.have_set:
             count = self.global_counts[piece] + 1
             self.global_counts[piece] = count
             if count == 2:
@@ -309,7 +309,7 @@ class Swarm:
         self.result.completions[peer.address] = self.simulator.now
 
     def on_peer_left(self, peer: Peer) -> None:
-        for piece in peer.bitfield.have_indices():
+        for piece in peer.bitfield.have_set:
             count = self.global_counts[piece] - 1
             self.global_counts[piece] = count
             if count == 1:

@@ -135,6 +135,21 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             Bitfield.from_bytes(b"\x00\x00", 4)
 
+    @pytest.mark.parametrize(
+        "data, num_pieces, message",
+        [
+            (b"\x01", 7, "spare bits"),  # only the last bit is spare
+            (b"\x00\x40", 9, "spare bits"),  # spare bit in the second byte
+            (b"", 1, "expected"),
+            (b"\x00", 9, "expected"),
+            (b"\x00", 0, "expected"),
+            (b"", -1, "non-negative"),
+        ],
+    )
+    def test_malformed_input_rejected(self, data, num_pieces, message):
+        with pytest.raises(ValueError, match=message):
+            Bitfield.from_bytes(data, num_pieces)
+
     def test_full_last_byte_masked(self):
         field = Bitfield.full(9)
         data = field.to_bytes()
@@ -186,3 +201,50 @@ def test_property_interest_definition(num_pieces, data):
     b = Bitfield(num_pieces, have=theirs)
     assert a.interesting_in(b) == bool(theirs - ours)
     assert set(a.pieces_only_in(b)) == theirs - ours
+
+
+_mirror_ops = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 63)),
+    st.tuples(st.just("clear"), st.integers(0, 63)),
+    st.tuples(st.just("read")),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("wire")),
+)
+
+
+@given(
+    st.integers(1, 64),
+    st.sets(st.integers(0, 63)),
+    st.lists(_mirror_ops, min_size=1, max_size=40),
+)
+def test_property_lazy_mirror_tracks_bitmap(num_pieces, initial, ops):
+    """The ``have_set`` mirror agrees with the bitmap whether it was
+    first read before or after any mix of mutations, copies and wire
+    round trips, and a set handed out once stays live."""
+    model = {index % num_pieces for index in initial}
+    field = Bitfield.from_bytes(Bitfield(num_pieces, model).to_bytes(), num_pieces)
+    live = None  # the set the last read handed out, on this object
+    for op in ops:
+        if op[0] == "set":
+            index = op[1] % num_pieces
+            assert field.set(index) == (index not in model)
+            model.add(index)
+        elif op[0] == "clear":
+            index = op[1] % num_pieces
+            assert field.clear(index) == (index in model)
+            model.discard(index)
+        elif op[0] == "read":
+            live = field.have_set
+        elif op[0] == "copy":
+            field, live = field.copy(), None
+        else:
+            field, live = Bitfield.from_bytes(field.to_bytes(), num_pieces), None
+        assert field.count == len(model)
+        assert field.count == sum(bin(byte).count("1") for byte in field.to_bytes())
+        assert list(field.have_indices()) == sorted(model)
+        if live is not None:
+            assert live is field.have_set
+            assert live == model
+        # A copy carries the mirror over when one exists, so this checks
+        # the current mirror without building one on ``field`` itself.
+        assert field.copy().have_set == set(field.have_indices())

@@ -66,20 +66,30 @@ def test_bytes_conserved(params):
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(swarm_params)
-# Pinned: the fused HAVE fan-out skips the ``have_set`` mirror on
-# matrix-attached receivers, so ``have_indices`` must read the bitmap —
-# this example caught it returning the stale mirror instead.
+# Pinned: on this example the fused HAVE fan-out reaches remote views
+# owned by matrix-attached receivers, so a fan-out that skips their
+# ``have_set`` mirror leaves it stale against the bitmap.
 @example((1, 8, 6))
 def test_availability_matches_bitfields(params):
     seed, num_pieces, num_leechers = params
     swarm = build_random_swarm(seed, num_pieces, num_leechers)
-    swarm.run(73)  # an arbitrary mid-download instant
-    for peer in swarm.peers.values():
-        expected = [0] * num_pieces
-        for connection in peer.connections.values():
-            for piece in connection.remote_bitfield.have_indices():
-                expected[piece] += 1
-        assert list(peer.picker.availability) == expected
+    # The default build runs the matrix backend with the fused fan-out,
+    # the path that writes remote views' bits directly.
+    assert swarm.availability_matrix is not None and swarm._batched_have
+    # Checking at several instants up to an arbitrary mid-download one
+    # reads every live link's ``have_set``, so mirrors built at one check
+    # must have been kept current by the fan-out until the next.
+    for step in (10, 10, 10, 10, 10, 10, 10, 3):
+        swarm.run(step)
+        for peer in swarm.peers.values():
+            expected = [0] * num_pieces
+            for connection in peer.connections.values():
+                view = connection.remote_bitfield
+                held = list(view.have_indices())
+                assert view.have_set == set(held)
+                for piece in held:
+                    expected[piece] += 1
+            assert list(peer.picker.availability) == expected
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])

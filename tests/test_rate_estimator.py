@@ -120,3 +120,32 @@ def test_property_window_sum_bound(amounts, window):
         total_added += amount
         assert estimator.total_in_window(t) <= total_added + 1e-9
         t += 1.0
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 1e6)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.floats(1.0, 50.0),
+)
+def test_property_byte_counter_is_an_estimator_plus_total(samples, window):
+    """A ByteCounter reads exactly like a standalone RateEstimator fed the
+    same samples, and adds the unwindowed total on top."""
+    counter = ByteCounter(window)
+    estimator = RateEstimator(window)
+    t = 0.0
+    total = 0.0
+    for gap, num_bytes in samples:
+        t += gap
+        counter.add(t, num_bytes)
+        estimator.add(t, num_bytes)
+        total += num_bytes
+        assert counter.rate(t) == estimator.rate(t)
+        assert counter.total_in_window(t) == estimator.total_in_window(t)
+        assert counter.total == total
+    later = t + window / 2
+    assert counter.rate(later) == estimator.rate(later)
+    assert counter.total_in_window(later) == estimator.total_in_window(later)
+    assert counter.total == total
