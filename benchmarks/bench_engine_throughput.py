@@ -24,13 +24,8 @@ The medium swarm additionally measures structured-tracing overhead
 on one peer (the default ``repro run --trace`` configuration, budget
 < 25%) and on every peer (the ``--trace-all`` worst case,
 informational), asserting that tracing leaves the swarm's final piece
-sets byte-identical.  On the *fast* run it then compares the JSONL
-recorder against the binary recorder under ``--trace-all``: the binary
-trace must decode to byte-identical JSONL lines
-(``binary_trace_matches_jsonl``), and two overhead readings are
-recorded — against the untraced fast run (the harsh denominator) and
-against the indexed reference run, the same denominator the pre-binary
-"~88% JSONL overhead" figure used (budget there: <= 25%).
+sets byte-identical.  It also records ``--trace-all`` overhead on the
+*fast* run, judged against the untraced fast run.
 
 A ``streaming`` tier re-runs the medium swarm as a streaming workload:
 every peer carries the playback model and picks pieces through the
@@ -49,11 +44,8 @@ the same naive/indexed/fast differential and asserts trace equivalence
 *and* identical stability verdicts across the three engine paths.
 
 An ``xlarge`` mega-swarm tier (1000 leechers + 1 seed) runs the fast
-configuration only — the reference path would take tens of minutes —
-once on the binary-heap event queue and once on the calendar
-timer-wheel, asserting the two queues produce identical final piece
-sets at four-digit scale.  ``--skip-xlarge`` drops the tier for smoke
-runs.
+configuration only — the reference path would take tens of minutes.
+``--skip-xlarge`` drops the tier for smoke runs.
 
 A ``campaign`` section benchmarks the PR-4 campaign runner on an
 8-shard experiment matrix three ways — serial (1 worker), parallel
@@ -88,12 +80,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from random import Random
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.instrumentation import (
-    BinaryTraceRecorder,
-    TraceRecorder,
-    TracingObserver,
-    binary_to_jsonl,
-)
+from repro.instrumentation import TraceRecorder, TracingObserver
 from repro.core.rarest_first import make_selector
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
@@ -115,9 +102,7 @@ SWARMS = {
 }
 # The mega-swarm tier: 1000 leechers + 1 seed.  Only the fast
 # configuration runs here (the pinned reference path is ~20x slower and
-# would push the benchmark out of interactive time); correctness at
-# this scale is asserted by running it on both event-queue
-# implementations and comparing final piece sets.
+# would push the benchmark out of interactive time).
 XLARGE = dict(leechers=1000, pieces=2048, sim_seconds=90.0)
 # The streaming tier: the medium swarm re-run as a streaming workload —
 # every leecher consumes in order through the windowed selector while
@@ -145,7 +130,6 @@ REFERENCE_EXTRA = {
     "availability_backend": "index",
     "have_fanout": "unbatched",
     "allocator": "reference",
-    "event_queue": "heap",
 }
 FAST_EXTRA: dict = {}  # defaults: matrix + numpy allocator + fused HAVE
 
@@ -242,7 +226,6 @@ def run_once(
     seed: int,
     use_rarity_index: bool,
     trace: str = "off",
-    trace_format: str = "jsonl",
     extra=None,
     selector_spec=None,
     playback_rate=None,
@@ -253,18 +236,14 @@ def run_once(
     """One timed swarm run.  ``trace`` selects the tracing configuration:
     ``"off"``, ``"local"`` (one observed peer, the paper's methodology and
     what ``repro run --trace`` does) or ``"all"`` (a TracingObserver on
-    every peer, the ``--trace-all`` worst case); ``trace_format`` picks
-    the JSONL or the struct-packed binary recorder.  The in-memory sink
+    every peer, the ``--trace-all`` worst case).  The in-memory sink
     keeps disk speed out of the measurement.  ``extra`` is the
     ``SwarmConfig.extra`` dict selecting reference vs fast engine
     paths."""
     recorder = None
     factory = None
     if trace != "off":
-        if trace_format == "binary":
-            recorder = BinaryTraceRecorder()
-        else:
-            recorder = TraceRecorder()
+        recorder = TraceRecorder()
         if trace == "all":
             def factory():
                 return TracingObserver(recorder)
@@ -316,15 +295,8 @@ def run_once(
     if recorder is not None:
         row["trace_events"] = recorder.events_emitted
         recorder.close()
-        # Canonical digest of the trace *as JSONL lines*: a binary
-        # trace of the same run must hash identically to the JSONL
-        # recorder's output, because binary_to_jsonl is lossless.
-        if trace_format == "binary":
-            lines = binary_to_jsonl(recorder)
-        else:
-            lines = recorder.lines()
         row["trace_sha256"] = hashlib.sha256(
-            ("\n".join(lines) + "\n").encode()
+            ("\n".join(recorder.lines()) + "\n").encode()
         ).hexdigest()
     return row
 
@@ -425,85 +397,39 @@ def run_suite(quick: bool, seed: int) -> dict:
                     "trace_events=%d"
                     % (name, mode, traced["wall_seconds"], overhead, traced["trace_events"])
                 )
-            sized["tracing_preserves_run"] = preserved
             sized["tracing_overhead_pct"] = sized["indexed_traced"][
                 "tracing_overhead_pct"
             ]
             print(
-                "%-7s tracing_overhead=%.1f%% (local, budget <25%%)  run_preserved=%s"
-                % (name, sized["tracing_overhead_pct"], preserved)
+                "%-7s tracing_overhead=%.1f%% (local, budget <25%%)"
+                % (name, sized["tracing_overhead_pct"])
             )
-            # Binary vs JSONL recorder under --trace-all on the *fast*
-            # run — the harshest reading, since the overhead is judged
-            # against the quickest untraced baseline.  Losslessness is
-            # asserted end to end: the binary trace must decode to the
-            # exact JSONL lines the text recorder emitted for the same
-            # run.
-            binary_preserved = True
-            for fmt, key in (
-                ("jsonl", "fast_traced_all"),
-                ("binary", "fast_traced_all_binary"),
-            ):
-                traced = run_once(
-                    params["leechers"],
-                    params["pieces"],
-                    sim_seconds,
-                    seed,
-                    use_rarity_index=True,
-                    trace="all",
-                    trace_format=fmt,
-                    extra=FAST_EXTRA,
-                )
-                traced.pop("completion_trace")
-                sized[key] = traced
-                binary_preserved = binary_preserved and (
-                    traced["fingerprint"] == sized["fast"]["fingerprint"]
-                )
-                overhead = (
-                    traced["wall_seconds"] / sized["fast"]["wall_seconds"]
-                    - 1.0
-                ) * 100.0
-                traced["tracing_overhead_pct"] = round(overhead, 1)
-                print(
-                    "%-7s trace-all:%-7s wall=%7.2fs  overhead=%+.1f%%  "
-                    "trace_events=%d"
-                    % (name, fmt, traced["wall_seconds"], overhead,
-                       traced["trace_events"])
-                )
-            sized["binary_tracing_preserves_run"] = binary_preserved
-            sized["binary_trace_matches_jsonl"] = (
-                sized["fast_traced_all"]["trace_sha256"]
-                == sized["fast_traced_all_binary"]["trace_sha256"]
+            # --trace-all on the *fast* run: the harshest reading, since
+            # the overhead is judged against the quickest untraced run.
+            traced = run_once(
+                params["leechers"],
+                params["pieces"],
+                sim_seconds,
+                seed,
+                use_rarity_index=True,
+                trace="all",
+                extra=FAST_EXTRA,
             )
-            sized["binary_tracing_overhead_pct"] = sized[
-                "fast_traced_all_binary"
-            ]["tracing_overhead_pct"]
-            # The pre-binary "~88% overhead" figure was swarm-wide JSONL
-            # tracing measured against the then-default (indexed
-            # reference) engine; the <=25% binary budget uses the same
-            # denominator.  The _pct number above judges binary tracing
-            # against the much faster untraced fast engine — the harsher
-            # reading — and is reported alongside.
-            sized["binary_tracing_overhead_vs_indexed_pct"] = round(
-                (
-                    sized["fast_traced_all_binary"]["wall_seconds"]
-                    / sized["indexed"]["wall_seconds"]
-                    - 1.0
-                )
-                * 100.0,
-                1,
+            traced.pop("completion_trace")
+            sized["fast_traced_all"] = traced
+            preserved = preserved and (
+                traced["fingerprint"] == sized["fast"]["fingerprint"]
             )
+            overhead = (
+                traced["wall_seconds"] / sized["fast"]["wall_seconds"] - 1.0
+            ) * 100.0
+            traced["tracing_overhead_pct"] = round(overhead, 1)
+            sized["tracing_preserves_run"] = preserved
             print(
-                "%-7s binary_tracing_overhead: vs_fast=%+.1f%%  "
-                "vs_indexed=%+.1f%% (budget <=25%%)  lossless=%s  "
-                "run_preserved=%s"
-                % (
-                    name,
-                    sized["binary_tracing_overhead_pct"],
-                    sized["binary_tracing_overhead_vs_indexed_pct"],
-                    sized["binary_trace_matches_jsonl"],
-                    binary_preserved,
-                )
+                "%-7s trace-all:fast  wall=%7.2fs  overhead=%+.1f%%  "
+                "trace_events=%d  run_preserved=%s"
+                % (name, traced["wall_seconds"], overhead,
+                   traced["trace_events"], preserved)
             )
         report["swarms"][name] = sized
     return report
@@ -656,46 +582,29 @@ def run_open_system_suite(quick: bool, seed: int) -> dict:
 
 
 def run_xlarge_suite(quick: bool, seed: int) -> dict:
-    """The 1000-leecher mega-swarm tier, fast configuration only.
-
-    The pinned reference path is far too slow for interactive use at
-    this scale, so instead of a naive-path differential the tier runs
-    the same swarm on both event-queue implementations (binary heap vs
-    calendar timer-wheel) and asserts identical final piece sets —
-    queue-order equivalence at four-digit scale, where bucket-rotation
-    bugs would actually surface.
-    """
+    """The 1000-leecher mega-swarm tier, fast configuration only: the
+    pinned reference path is far too slow for interactive use at this
+    scale, so the tier has no naive-path differential."""
     sim_seconds = XLARGE["sim_seconds"] * (QUICK_SCALE if quick else 1.0)
     section = {
         "peers": XLARGE["leechers"] + 1,
         "pieces": XLARGE["pieces"],
         "sim_seconds": sim_seconds,
     }
-    for label, queue in (("fast", "heap"), ("fast_wheel", "wheel")):
-        extra = dict(FAST_EXTRA, event_queue=queue)
-        section[label] = run_once(
-            XLARGE["leechers"], XLARGE["pieces"], sim_seconds, seed,
-            use_rarity_index=True, extra=extra,
-        )
-        print(
-            "%-7s %-10s wall=%7.2fs  events/s=%10.1f  blocks=%d"
-            % (
-                "xlarge",
-                label,
-                section[label]["wall_seconds"],
-                section[label]["events_per_second"],
-                section[label]["blocks_moved"],
-            )
-        )
-    section["traces_match"] = (
-        section["fast"].pop("completion_trace")
-        == section["fast_wheel"].pop("completion_trace")
-        and section["fast"]["fingerprint"] == section["fast_wheel"]["fingerprint"]
-        and section["fast"]["blocks_moved"] == section["fast_wheel"]["blocks_moved"]
+    section["fast"] = run_once(
+        XLARGE["leechers"], XLARGE["pieces"], sim_seconds, seed,
+        use_rarity_index=True, extra=FAST_EXTRA,
     )
+    section["fast"].pop("completion_trace")
     print(
-        "%-7s heap-vs-wheel traces_match=%s"
-        % ("xlarge", section["traces_match"])
+        "%-7s %-10s wall=%7.2fs  events/s=%10.1f  blocks=%d"
+        % (
+            "xlarge",
+            "fast",
+            section["fast"]["wall_seconds"],
+            section["fast"]["events_per_second"],
+            section["fast"]["blocks_moved"],
+        )
     )
     return section
 
@@ -829,19 +738,16 @@ def main(argv=None) -> int:
     report["campaign"] = run_campaign_suite(args.quick, args.seed)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print("wrote %s" % args.output)
+    # The xlarge tier runs one configuration, so it has no traces_match.
     failures = [
         name
         for name, sized in report["swarms"].items()
-        if not sized["traces_match"]
+        if not sized.get("traces_match", True)
     ]
     failures.extend(
         name
         for name, sized in report["swarms"].items()
-        if not (
-            sized.get("tracing_preserves_run", True)
-            and sized.get("binary_tracing_preserves_run", True)
-            and sized.get("binary_trace_matches_jsonl", True)
-        )
+        if not sized.get("tracing_preserves_run", True)
     )
     if failures:
         print("TRACE MISMATCH in: %s" % ", ".join(failures), file=sys.stderr)

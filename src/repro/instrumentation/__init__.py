@@ -15,12 +15,6 @@ from repro.instrumentation.metrics import (
     EngineProfiler,
     MetricsRegistry,
 )
-from repro.instrumentation.bintrace import (
-    BINTRACE_MAGIC,
-    BinaryTraceRecorder,
-    binary_to_jsonl,
-    jsonl_to_binary,
-)
 from repro.instrumentation.replay import (
     ReplayedInstrumentation,
     iter_trace,
@@ -42,10 +36,6 @@ __all__ = [
     "TraceRecorder",
     "TracingObserver",
     "TRACE_SCHEMA_VERSION",
-    "BINTRACE_MAGIC",
-    "BinaryTraceRecorder",
-    "binary_to_jsonl",
-    "jsonl_to_binary",
     "replay_instrumentation",
     "ReplayedInstrumentation",
     "iter_trace",

@@ -58,17 +58,13 @@ def iter_trace(source: TraceSource, verify: bool = True) -> List[dict]:
     if isinstance(source, TraceRecorder):
         lines = source.lines()
     elif isinstance(source, str):
-        with open(source, "rb") as handle:
-            head = handle.read(4)
-        if head == b"RBT1":
-            # A binary trace: decode it to the equivalent JSONL lines
-            # (imported lazily — bintrace imports this module's error).
-            from repro.instrumentation.bintrace import binary_to_jsonl
-
-            lines = binary_to_jsonl(source)
-        else:
-            with open(source) as handle:
+        try:
+            with open(source, encoding="utf-8") as handle:
                 lines = [line.rstrip("\n") for line in handle]
+        except UnicodeDecodeError as error:
+            raise TraceFormatError(
+                "not a UTF-8 JSONL trace (byte %d: %s)" % (error.start, error.reason)
+            )
     else:
         lines = [line.rstrip("\n") for line in source]
     lines = [line for line in lines if line]

@@ -281,11 +281,6 @@ class TracingObserver(PeerObserver):
     def __init__(self, recorder: TraceRecorder, record_rates: bool = False):
         self.recorder = recorder
         self.record_rates = record_rates
-        # Capability dispatch: a recorder that understands raw message /
-        # block fields (the binary recorder) skips JSON rendering on the
-        # two hottest event kinds entirely.
-        self._emit_message = getattr(recorder, "emit_message", None)
-        self._emit_block = getattr(recorder, "emit_block", None)
         self.peer = None
         self._addr: Optional[str] = None
         self._sent_mid = ""
@@ -346,10 +341,6 @@ class TracingObserver(PeerObserver):
     # -- messages (hot path) -----------------------------------------------
 
     def on_message_sent(self, now: float, connection, message: Message) -> None:
-        emit_message = self._emit_message
-        if emit_message is not None:
-            emit_message(now, 0, self._addr, connection.remote.address, message)
-            return
         recorder = self.recorder
         if now == recorder._last_t:
             ts = recorder._last_ts
@@ -366,10 +357,6 @@ class TracingObserver(PeerObserver):
         )
 
     def on_message_received(self, now: float, connection, message: Message) -> None:
-        emit_message = self._emit_message
-        if emit_message is not None:
-            emit_message(now, 1, self._addr, connection.remote.address, message)
-            return
         recorder = self.recorder
         if now == recorder._last_t:
             ts = recorder._last_ts
@@ -418,12 +405,6 @@ class TracingObserver(PeerObserver):
     def on_block_received(
         self, now: float, connection, piece: int, offset: int, length: int
     ) -> None:
-        emit_block = self._emit_block
-        if emit_block is not None:
-            emit_block(
-                now, self._addr, connection.remote.address, piece, offset, length
-            )
-            return
         self.recorder.emit(
             {
                 "t": now,

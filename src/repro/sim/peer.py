@@ -621,39 +621,17 @@ class Peer:
         sender_is_seed = self.is_seed
         observer = self.observer
         seed_state = PeerState.SEED
-        # Pair-emit capability, hoisted: when sender and receiver are
-        # both observed into the same binary recorder, one call packs
-        # the sent+received record pair, bypassing two observer hook
-        # invocations per delivery (the bulk of --trace-all overhead).
-        pair_emit = None
-        shared_recorder = None
-        sender_addr = self.address
-        if observer is not None:
-            shared_recorder = getattr(observer, "recorder", None)
-            if shared_recorder is not None:
-                pair_emit = getattr(shared_recorder, "emit_have_pair", None)
         for connection in list(self.connections.values()):
             if not connection.closed:
                 twin = connection.twin
                 twin_open = twin is not None and not twin.closed
+                if observer:
+                    observer.on_message_sent(now, connection, message)
                 if twin_open:
                     receiver = connection.remote
                     receiver_observer = receiver.observer
-                else:
-                    receiver = receiver_observer = None
-                if (
-                    pair_emit is not None
-                    and receiver_observer is not None
-                    and getattr(receiver_observer, "recorder", None)
-                    is shared_recorder
-                ):
-                    pair_emit(now, sender_addr, receiver.address, piece)
-                else:
-                    if observer:
-                        observer.on_message_sent(now, connection, message)
                     if receiver_observer is not None:
                         receiver_observer.on_message_received(now, twin, message)
-                if twin_open:
                     # -- inlined receiver side (_receive + _handle_have) --
                     # ``last_message_at`` is deliberately not refreshed: its
                     # only reader is the fault sweep, and a fault plan

@@ -85,22 +85,11 @@ class Swarm:
         self.metainfo = metainfo
         self.config = config or SwarmConfig()
         extra = self.config.extra
-        self.simulator = Simulator(
-            queue=extra.get("event_queue", "heap"),
-            bucket_width=float(extra.get("bucket_width", 0.25)),
-        )
-        # Bandwidth allocator selection.  The legacy "bandwidth_model"
-        # knob is honoured; otherwise "allocator" picks reference/numpy
+        self.simulator = Simulator()
+        # Bandwidth allocator selection: "allocator" picks reference/numpy
         # max-min explicitly, defaulting to "auto" (numpy when available
         # — safe because the two paths are bit-identical).
-        allocator = extra.get("allocator")
-        if allocator is None:
-            allocator = (
-                "upload-fair"
-                if extra.get("bandwidth_model") == "upload-fair"
-                else "auto"
-            )
-        self._allocate = resolve_allocator(allocator)
+        self._allocate = resolve_allocator(extra.get("allocator", "auto"))
         self.rng = Random(self.config.seed)
         # The tracker sampler is None-transparent: no spec builds the
         # same UniformSampler the tracker would default to, so runs

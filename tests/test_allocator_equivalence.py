@@ -1,36 +1,22 @@
 """Differential trace-equivalence harness for the mega-swarm engine.
 
-The fast engine paths — numpy max-min allocator, calendar-queue event
-wheel, shared availability matrix with the fused HAVE fan-out, and the
-binary trace container — are each *claimed* to be observably identical
-to the reference implementations they replace.  This suite pins those
-claims down three ways:
+The fast engine paths — numpy max-min allocator and shared availability
+matrix with the fused HAVE fan-out — are each *claimed* to be
+observably identical to the reference implementations they replace.
+This suite pins those claims down two ways:
 
 * **property tests** drive the two allocators over random networks and
   require bit-identical rates (not approximately equal: the reference
   was restructured so both charge residuals with the same arithmetic);
 * **differential swarm runs** execute the same seeded scenario once per
   engine configuration and require identical trace fingerprints and
-  final swarm state — including under churn, faults, and rejoins;
-* **format tests** require the binary trace to reproduce the JSONL
-  trace byte for byte, and to fail loudly when truncated or corrupted.
+  final swarm state — including under churn, faults, and rejoins.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.instrumentation import (
-    BinaryTraceRecorder,
-    TraceRecorder,
-    TracingObserver,
-    binary_to_jsonl,
-    iter_trace,
-    jsonl_to_binary,
-    replay_instrumentation,
-)
-from repro.instrumentation.replay import TraceFormatError
+from repro.instrumentation import TraceRecorder, TracingObserver
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.bandwidth import (
     HAVE_NUMPY,
@@ -51,7 +37,6 @@ REFERENCE_EXTRA = {
     "availability_backend": "index",
     "have_fanout": "unbatched",
     "allocator": "reference",
-    "event_queue": "heap",
 }
 
 
@@ -159,7 +144,7 @@ def run_swarm(
         swarm.schedule_arrival(rng.uniform(0.0, 30.0), config=peer_config)
     result = swarm.run(horizon)
     fingerprint = None
-    if recorder is not None and isinstance(recorder, TraceRecorder):
+    if recorder is not None:
         fingerprint = recorder.close()
     state = (
         result.bytes_moved,
@@ -182,29 +167,6 @@ class TestEngineDifferential:
         ref_fp, ref_state, __ = run_swarm(REFERENCE_EXTRA, recorder=reference)
         assert fast_fp == ref_fp
         assert fast_state == ref_state
-
-    def test_wheel_trace_equals_heap(self):
-        heap = TraceRecorder()
-        wheel = TraceRecorder()
-        heap_fp, heap_state, __ = run_swarm(
-            {"event_queue": "heap"}, recorder=heap
-        )
-        wheel_fp, wheel_state, __ = run_swarm(
-            {"event_queue": "wheel"}, recorder=wheel
-        )
-        assert heap_fp == wheel_fp
-        assert heap_state == wheel_state
-
-    def test_wheel_bucket_width_does_not_change_the_trace(self):
-        fingerprints = set()
-        for width in (0.05, 0.25, 2.0):
-            recorder = TraceRecorder()
-            fp, __, __ = run_swarm(
-                {"event_queue": "wheel", "bucket_width": width},
-                recorder=recorder,
-            )
-            fingerprints.add(fp)
-        assert len(fingerprints) == 1
 
     def test_fast_path_equals_reference_under_churn(self):
         fast_fp, fast_state, __ = run_swarm(
@@ -291,94 +253,3 @@ class TestFlowCacheUnderChurn:
             )
 
         assert run_once(False) == run_once(True)
-
-
-# ---------------------------------------------------------------------------
-# binary trace format
-# ---------------------------------------------------------------------------
-
-def traced_pair(tmp_path=None):
-    """The same tiny run recorded by the JSONL and binary recorders."""
-    jsonl = TraceRecorder()
-    run_swarm({}, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=jsonl)
-    jsonl.close()
-    binary = BinaryTraceRecorder()
-    run_swarm({}, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=binary)
-    binary.close()
-    return jsonl, binary
-
-
-class TestBinaryTrace:
-    def test_live_binary_recorder_reproduces_jsonl_bytes(self):
-        jsonl, binary = traced_pair()
-        assert binary_to_jsonl(binary) == jsonl.lines()
-
-    def test_fingerprints_agree_across_formats(self):
-        jsonl, binary = traced_pair()
-        events_jsonl = iter_trace(jsonl)
-        events_binary = iter_trace(binary_to_jsonl(binary))
-        assert events_jsonl == events_binary
-        assert jsonl.events_emitted == binary.events_emitted
-
-    def test_round_trip_is_byte_identical(self):
-        jsonl, __ = traced_pair()
-        binary_one = jsonl_to_binary(jsonl.lines())
-        lines = binary_to_jsonl(binary_one)
-        binary_two = jsonl_to_binary(lines)
-        assert lines == jsonl.lines()
-        assert binary_one == binary_two
-
-    def test_binary_is_substantially_smaller(self):
-        jsonl, __ = traced_pair()
-        binary = jsonl_to_binary(jsonl.lines())
-        jsonl_size = sum(len(line) + 1 for line in jsonl.lines())
-        assert len(binary) < jsonl_size / 2
-
-    def test_replay_from_binary_file_matches_jsonl(self, tmp_path):
-        jsonl, __ = traced_pair()
-        path = os.fspath(tmp_path / "trace.bin")
-        jsonl_to_binary(jsonl.lines(), path=path)
-        peer = next(
-            event["peer"]
-            for event in iter_trace(jsonl)
-            if event["type"] == "attach"
-        )
-        from_jsonl = replay_instrumentation(jsonl, peer=peer)
-        from_binary = replay_instrumentation(path, peer=peer)
-        assert [vars(s) for s in from_jsonl.snapshots] == [
-            vars(s) for s in from_binary.snapshots
-        ]
-
-    def test_truncated_binary_fails_loudly(self):
-        jsonl, __ = traced_pair()
-        binary = jsonl_to_binary(jsonl.lines())
-        for cut in (3, 4, len(binary) // 2, len(binary) - 7):
-            with pytest.raises(TraceFormatError):
-                binary_to_jsonl(binary[:cut])
-
-    def test_corrupt_tag_fails_loudly(self):
-        jsonl, __ = traced_pair()
-        binary = bytearray(jsonl_to_binary(jsonl.lines()))
-        binary[4] = 0x7F  # first record tag -> unknown
-        with pytest.raises(TraceFormatError):
-            binary_to_jsonl(bytes(binary))
-
-    def test_bad_magic_fails_loudly(self):
-        with pytest.raises(TraceFormatError):
-            binary_to_jsonl(b"NOPE" + b"\x00" * 64)
-
-    def test_event_count_mismatch_fails_loudly(self):
-        jsonl, __ = traced_pair()
-        binary = bytearray(jsonl_to_binary(jsonl.lines()))
-        # The end record's count field sits right after its tag byte,
-        # 37 bytes from the end (4 count + 1 state + 32 fingerprint).
-        offset = len(binary) - 37
-        binary[offset] ^= 0xFF
-        with pytest.raises(TraceFormatError):
-            binary_to_jsonl(bytes(binary))
-
-    def test_jsonl_to_binary_rejects_garbage(self):
-        with pytest.raises(TraceFormatError):
-            jsonl_to_binary(["not json at all"])
-        with pytest.raises(TraceFormatError):
-            jsonl_to_binary([])

@@ -16,6 +16,7 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.core.piece_picker import HAVE_NUMPY
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
@@ -73,9 +74,11 @@ def test_bytes_conserved(params):
 def test_availability_matches_bitfields(params):
     seed, num_pieces, num_leechers = params
     swarm = build_random_swarm(seed, num_pieces, num_leechers)
-    # The default build runs the matrix backend with the fused fan-out,
-    # the path that writes remote views' bits directly.
-    assert swarm.availability_matrix is not None and swarm._batched_have
+    # The default build runs the fused fan-out, the path that writes
+    # remote views' bits directly, on the matrix backend when numpy is
+    # importable and on the index backend otherwise.
+    assert swarm._batched_have
+    assert (swarm.availability_matrix is not None) == HAVE_NUMPY
     # Checking at several instants up to an arbitrary mid-download one
     # reads every live link's ``have_set``, so mirrors built at one check
     # must have been kept current by the fan-out until the next.

@@ -34,13 +34,12 @@ ALL_SELECTOR_SPECS = [
 ]
 
 #: The fully de-optimised engine: no availability matrix, unbatched
-#: HAVEs, reference allocator, heap queue (mirrors
+#: HAVEs, reference allocator (mirrors
 #: test_allocator_equivalence.REFERENCE_EXTRA).
 REFERENCE_EXTRA = {
     "availability_backend": "index",
     "have_fanout": "unbatched",
     "allocator": "reference",
-    "event_queue": "heap",
 }
 
 
@@ -204,14 +203,13 @@ def test_fast_engine_equals_reference_for_every_selector(spec):
 @needs_numpy
 def test_sequential_selector_on_wheel_queue_with_numpy_allocator():
     """Regression: a ``uses_rarity_index``-less strategy on the full
-    fast engine (wheel queue, numpy allocator, matrix backend) used to
-    be hijacked by the vectorized rarest-first kernel.  It must instead
-    run the strategy faithfully and match the reference engine."""
+    fast engine (numpy allocator, matrix backend) used to be hijacked
+    by the vectorized rarest-first kernel.  It must instead run the
+    strategy faithfully and match the reference engine."""
     fast = run_traced(
         11, num_pieces=12, num_leechers=4, use_rarity_index=True,
         selector_spec="sequential",
         extra={
-            "event_queue": "wheel",
             "allocator": "numpy",
             "availability_backend": "matrix",
         },

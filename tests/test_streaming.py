@@ -4,10 +4,7 @@ Covers the streaming piece-selection family end to end:
 
 * the playback state machine obeys its invariants (monotonic in-order
   prefix, disjoint rebuffer windows, startup before finish);
-* playback metrics replay **byte-identically** from the JSONL trace and
-  from the binary (RBT1) container;
-* the engine configuration (heap vs calendar-queue scheduler) is
-  invisible to a streaming run — identical trace fingerprints;
+* playback metrics replay **byte-identically** from the JSONL trace;
 * enabling playback without a playback-aware selector does not perturb
   the simulation (observer-only), and the pre-streaming baseline trace
   fingerprint of the default campaign shard is pinned.
@@ -18,13 +15,11 @@ import pytest
 from repro.analysis.streaming import in_order_lag, playback_summary
 from repro.core.rarest_first import make_selector
 from repro.instrumentation import (
-    BinaryTraceRecorder,
     TraceRecorder,
-    binary_to_jsonl,
     iter_trace,
     replay_instrumentation,
 )
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, PeerConfig
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
 
 pytestmark = pytest.mark.streaming
@@ -46,24 +41,17 @@ STREAM_RATE = 24.0 * KIB
 def run_streaming(
     recorder=None,
     selector_spec="seq-window:window=8",
-    extra=None,
     seed=7,
     duration=400.0,
     playback_rate=STREAM_RATE,
 ):
     """One seeded torrent-2 streaming run; returns the harness."""
     scenario = scaled_copy(scenario_by_id(2), duration=duration)
-    swarm_config = None
-    if extra is not None:
-        swarm_config = SwarmConfig(
-            seed=seed, duration=duration, extra=dict(extra)
-        )
     harness = build_experiment(
         scenario,
         seed=seed,
         local_selector=make_selector(selector_spec),
         population_selector_factory=lambda: make_selector(selector_spec),
-        swarm_config=swarm_config,
         trace_recorder=recorder,
         playback_rate=playback_rate,
     )
@@ -162,35 +150,6 @@ class TestStreamingReplayDeterminism:
         assert playback_summary(replayed) == playback_summary(
             harness.instrumentation
         )
-
-    def test_binary_container_round_trips_playback(self, jsonl_run):
-        harness, jsonl_recorder = jsonl_run
-        binary = BinaryTraceRecorder()
-        binary_harness = run_streaming(binary)
-        binary.close()
-        # The binary recorder stores playback events as verbatim JSON
-        # records: decoding reproduces the JSONL file byte for byte.
-        assert binary_to_jsonl(binary) == jsonl_recorder.lines()
-        replayed = replay_instrumentation(
-            binary_to_jsonl(binary), peer=binary_harness.local_peer.address
-        )
-        for field in PLAYBACK_FIELDS:
-            assert getattr(replayed, field) == getattr(
-                harness.instrumentation, field
-            ), field
-
-    def test_heap_and_wheel_queues_agree(self):
-        fingerprints = {}
-        summaries = {}
-        for queue in ("heap", "wheel"):
-            recorder = TraceRecorder()
-            harness = run_streaming(
-                recorder, extra={"event_queue": queue}, duration=300.0
-            )
-            fingerprints[queue] = recorder.close()
-            summaries[queue] = playback_summary(harness.instrumentation)
-        assert fingerprints["heap"] == fingerprints["wheel"]
-        assert summaries["heap"] == summaries["wheel"]
 
 
 class TestStreamingGating:

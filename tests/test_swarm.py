@@ -134,7 +134,7 @@ class TestScheduledArrivals:
 
 class TestBandwidthModelChoice:
     def test_upload_fair_model_also_completes(self):
-        config = SwarmConfig(seed=3, extra={"bandwidth_model": "upload-fair"})
+        config = SwarmConfig(seed=3, extra={"allocator": "upload-fair"})
         swarm = tiny_swarm(swarm_config=config)
         swarm.add_peer(config=fast_config(), is_seed=True)
         leecher = swarm.add_peer(config=fast_config())

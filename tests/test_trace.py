@@ -17,6 +17,7 @@ Four families of tests:
   consumable and replayable.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -310,6 +311,19 @@ def test_iter_trace_rejects_wrong_schema_version(tmp_path):
         handle.write('{"t":0.0,"type":"endgame","peer":"p"}\n')
     with pytest.raises(TraceFormatError):
         iter_trace(path)
+
+
+def test_iter_trace_rejects_non_utf8_files(tmp_path):
+    # A UTF-16 byte-order mark, and a file in the retired RBT1 binary
+    # container (magic, then an empty end record with its sha256).
+    for name, content in (
+        ("bom.jsonl", b"\xff\xfe{}\n"),
+        ("old.rbt1", b"RBT1\x05\x00\x00\x00\x00\x01" + hashlib.sha256().digest()),
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(TraceFormatError):
+            iter_trace(str(path))
 
 
 @pytest.mark.chaos
