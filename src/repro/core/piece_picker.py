@@ -30,9 +30,6 @@ scan (``use_rarity_index=False``), which tests assert.
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass, field
-from operator import neg
 from random import Random
 from typing import (
     Dict,
@@ -180,7 +177,6 @@ class RarityIndex:
         return {count: set(bucket) for count, bucket in self._buckets.items()}
 
 
-@dataclass
 class _PartialPiece:
     """Download state of one in-progress piece.
 
@@ -190,16 +186,15 @@ class _PartialPiece:
     straggler duplicates, which are dropped on receipt).
     """
 
-    blocks: List[BlockRef]
-    received: Set[int] = field(default_factory=set)
-    requested: Dict[int, Set[PeerKey]] = field(default_factory=dict)
-    unrequested: List[int] = field(default_factory=list)
-    """Block indices not yet requested, sorted in DESCENDING index order
-    so the next block (the lowest offset) pops from the end in O(1)."""
+    __slots__ = ("blocks", "received", "requested", "unrequested")
 
-    def __post_init__(self) -> None:
-        if not self.received and not self.requested and not self.unrequested:
-            self.unrequested = list(range(len(self.blocks) - 1, -1, -1))
+    def __init__(self, blocks: List[BlockRef]):
+        self.blocks = blocks
+        self.received: Set[int] = set()
+        self.requested: Dict[int, Set[PeerKey]] = {}
+        # Block indices not yet requested, sorted in DESCENDING index
+        # order so the next block (the lowest offset) pops from the end.
+        self.unrequested: List[int] = list(range(len(blocks) - 1, -1, -1))
 
     def is_complete(self) -> bool:
         return len(self.received) == len(self.blocks)
@@ -215,7 +210,12 @@ class _PartialPiece:
     def release(self, index: int) -> None:
         """Return an in-flight block to the unrequested pool (in order)."""
         del self.requested[index]
-        insort(self.unrequested, index, key=neg)
+        # A descending insort by hand: ``insort(key=)`` needs Python 3.10.
+        unrequested = self.unrequested
+        position = len(unrequested)
+        while position and unrequested[position - 1] < index:
+            position -= 1
+        unrequested.insert(position, index)
 
 
 class PiecePicker:

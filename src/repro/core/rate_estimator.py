@@ -90,5 +90,19 @@ class ByteCounter(RateEstimator):
         self.total = 0.0
 
     def add(self, now: float, num_bytes: float) -> None:
-        RateEstimator.add(self, now, num_bytes)
+        # RateEstimator.add and _expire in one call (a counter is fed on
+        # every fluid tick of every active flow); same float operations in
+        # the same order.
+        if num_bytes < 0:
+            raise ValueError("num_bytes must be non-negative")
+        samples = self._samples
+        if samples and now < samples[-1][0]:
+            raise ValueError("samples must be added in non-decreasing time order")
+        samples.append((now, num_bytes))
+        self._total += num_bytes
+        horizon = now - self._window
+        while samples and samples[0][0] <= horizon:
+            self._total -= samples.popleft()[1]
+        if not samples:
+            self._total = 0.0  # clamp float drift
         self.total += num_bytes

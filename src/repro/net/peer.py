@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import struct
 from random import Random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.core.choke import ChokeCandidate, Choker, LeecherChoker, SeedChoker
 from repro.core.piece_picker import PiecePicker
@@ -418,9 +418,9 @@ class NetPeer:
             self.observer.on_message_received(now, connection, opening)
         self.picker.peer_joined(connection.remote_bitfield)
         self._update_interest(connection)
-        for message in messages[1:]:
-            self._dispatch(connection, message)
-        connection.reader_task = asyncio.ensure_future(self._reader_loop(connection))
+        connection.reader_task = asyncio.ensure_future(
+            self._reader_loop(connection, messages[1:])
+        )
         connection.uploader_task = asyncio.ensure_future(self._upload_loop(connection))
         return True
 
@@ -428,9 +428,17 @@ class NetPeer:
     # reader / dispatcher
     # ------------------------------------------------------------------
 
-    async def _reader_loop(self, connection: NetConnection) -> None:
+    async def _reader_loop(
+        self, connection: NetConnection, pending: List[Message]
+    ) -> None:
+        """Dispatch *pending* (frames that arrived with the opening
+        bitfield), then every frame read from the link."""
         reaped = False
         try:
+            for message in pending:
+                if connection.closed:
+                    return
+                self._dispatch(connection, message)
             while not connection.closed:
                 chunk = await connection.reader.read(65536)
                 if not chunk:
@@ -521,17 +529,35 @@ class NetPeer:
             self._fill_pipeline(connection)
 
     def _handle_request(self, connection: NetConnection, message: Request) -> None:
+        block = self._wire_block(message)
         if connection.am_choking:
             return  # requests received while choking are dropped
         if not self.bitfield.has(message.piece):
             return
-        connection.enqueue_upload(
-            BlockRef(message.piece, message.offset, message.length)
-        )
+        connection.enqueue_upload(block)
 
     def _handle_cancel(self, connection: NetConnection, message: Cancel) -> None:
-        connection.cancel_queued_block(
-            BlockRef(message.piece, message.offset, message.length)
+        connection.cancel_queued_block(self._wire_block(message))
+
+    def _wire_block(self, message: Union[Request, Cancel]) -> BlockRef:
+        """The block a REQUEST or CANCEL names, checked against the
+        geometry: the piece in range, the offset block-aligned and the
+        length that block's real length.  Anything else is garbage on the
+        wire and reaps the link (an oversized REQUEST would otherwise
+        hold the peer-wide token bucket for that many bytes)."""
+        geometry = self.metainfo.geometry
+        piece, offset = message.piece, message.offset
+        if 0 <= piece < geometry.num_pieces and offset % geometry.block_size == 0:
+            try:
+                block = geometry.block_ref(piece, offset // geometry.block_size)
+            except IndexError:
+                pass
+            else:
+                if block.length == message.length:
+                    return block
+        raise MessageError(
+            "%s(piece=%d, offset=%d, length=%d) names no block of this torrent"
+            % (type(message).__name__.upper(), piece, offset, message.length)
         )
 
     def _handle_piece(self, connection: NetConnection, message: Piece) -> None:

@@ -11,8 +11,7 @@ and parsing of .torrent metainfo dictionaries via
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.protocol.bencode import bdecode, bencode
 
@@ -20,17 +19,29 @@ DEFAULT_PIECE_SIZE = 256 * 1024
 DEFAULT_BLOCK_SIZE = 16 * 1024  # 2**14, the mainline default block size
 
 
-@dataclass(frozen=True)
-class BlockRef:
-    """A block within a piece: (piece index, byte offset, length)."""
-
+class _BlockFields(NamedTuple):
     piece: int
     offset: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.piece < 0 or self.offset < 0 or self.length <= 0:
-            raise ValueError("invalid block reference %r" % (self,))
+
+class BlockRef(_BlockFields):
+    """A block within a piece: (piece index, byte offset, length).
+
+    A tuple, so building, hashing and comparing one costs what a plain
+    ``(piece, offset, length)`` tuple costs: blocks are created for every
+    REQUEST, PIECE and CANCEL and live in per-link sets and dicts.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, piece: int, offset: int, length: int) -> "BlockRef":
+        if piece < 0 or offset < 0 or length <= 0:
+            raise ValueError(
+                "invalid block reference BlockRef(piece=%r, offset=%r, length=%r)"
+                % (piece, offset, length)
+            )
+        return tuple.__new__(cls, (piece, offset, length))
 
 
 class PieceGeometry:

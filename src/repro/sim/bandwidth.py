@@ -33,7 +33,6 @@ reference when numpy is unavailable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Mapping
 
 try:  # numpy is an optional dependency; every caller must tolerate None
@@ -46,16 +45,27 @@ HAVE_NUMPY = _np is not None
 NodeId = Hashable
 
 
-@dataclass
 class Flow:
     """One active transfer from ``uploader`` to ``downloader``.
 
     ``rate`` is filled in by :func:`max_min_allocation` (bytes/second).
+    Slotted: the swarm builds one per active link whenever the set of
+    active links changes.
     """
 
-    uploader: NodeId
-    downloader: NodeId
-    rate: float = field(default=0.0, compare=False)
+    __slots__ = ("uploader", "downloader", "rate")
+
+    def __init__(self, uploader: NodeId, downloader: NodeId, rate: float = 0.0):
+        self.uploader = uploader
+        self.downloader = downloader
+        self.rate = rate
+
+    def __repr__(self) -> str:
+        return "Flow(uploader=%r, downloader=%r, rate=%r)" % (
+            self.uploader,
+            self.downloader,
+            self.rate,
+        )
 
 
 def max_min_allocation(

@@ -15,7 +15,7 @@ advances.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.core.rate_estimator import ByteCounter
 from repro.protocol.bitfield import Bitfield
@@ -23,6 +23,49 @@ from repro.protocol.metainfo import BlockRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.peer import Peer
+
+
+class UploadQueue(deque):
+    """The blocks a remote requested, with the sum of their lengths.
+
+    ``nbytes`` follows every ``append``, ``extend``, ``popleft``,
+    ``remove``, ``del queue[i]`` and ``clear``, so
+    :meth:`Connection.queued_upload_bytes` reads it instead of re-summing
+    the queue, twice per active flow per tick.  Other deque mutators are
+    not part of the queue's interface.
+    """
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self):
+        deque.__init__(self)
+        self.nbytes = 0
+
+    def append(self, block: BlockRef) -> None:
+        deque.append(self, block)
+        self.nbytes += block.length
+
+    def extend(self, blocks: Iterable[BlockRef]) -> None:
+        blocks = list(blocks)
+        deque.extend(self, blocks)
+        self.nbytes += sum(block.length for block in blocks)
+
+    def popleft(self) -> BlockRef:
+        block = deque.popleft(self)
+        self.nbytes -= block.length
+        return block
+
+    def remove(self, block: BlockRef) -> None:
+        deque.remove(self, block)
+        self.nbytes -= block.length
+
+    def __delitem__(self, index: int) -> None:
+        self.nbytes -= self[index].length
+        deque.__delitem__(self, index)
+
+    def clear(self) -> None:
+        deque.clear(self)
+        self.nbytes = 0
 
 
 class Connection:
@@ -71,7 +114,7 @@ class Connection:
         self.established_at = now
         self.closed = False
         # Upload direction (local serves remote).
-        self.upload_queue: Deque[BlockRef] = deque()
+        self.upload_queue = UploadQueue()
         self.upload_progress = 0.0  # bytes already sent of the head block
         self.uploaded = ByteCounter(rate_window)
         self.downloaded = ByteCounter(rate_window)
@@ -87,7 +130,7 @@ class Connection:
 
     def queued_upload_bytes(self) -> float:
         """Bytes still to send to satisfy the remote's pending requests."""
-        return sum(block.length for block in self.upload_queue) - self.upload_progress
+        return self.upload_queue.nbytes - self.upload_progress
 
     def has_active_upload(self) -> bool:
         """True when this endpoint is actively serving the remote."""

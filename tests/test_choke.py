@@ -277,3 +277,18 @@ class TestDeterminism:
             return out
 
         assert run() == run()
+
+
+class TestChokeCandidateValue:
+    def test_fields_cannot_be_assigned(self):
+        snapshot = candidate("a", down=1.0)
+        with pytest.raises(AttributeError):
+            snapshot.download_rate = 2.0
+        with pytest.raises(AttributeError):
+            snapshot.interested = False
+
+    def test_defaults(self):
+        snapshot = ChokeCandidate(key="a", interested=True, choked=False)
+        assert snapshot.download_rate == snapshot.upload_rate == 0.0
+        assert snapshot.uploaded_to == snapshot.downloaded_from == 0.0
+        assert snapshot.last_unchoked is None

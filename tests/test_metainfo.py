@@ -75,6 +75,44 @@ class TestPieceGeometry:
             BlockRef(0, 0, 0)
 
 
+class TestBlockRefValue:
+    """Blocks hash, compare and print like the (piece, offset, length)
+    triple; set order over them feeds CANCEL order and traces."""
+
+    @given(
+        st.integers(0, 10**6), st.integers(0, 10**9), st.integers(1, 1 << 20)
+    )
+    def test_hash_is_the_triple_hash(self, piece, offset, length):
+        assert hash(BlockRef(piece, offset, length)) == hash((piece, offset, length))
+
+    def test_equality(self):
+        assert BlockRef(1, 2, 3) == BlockRef(1, 2, 3)
+        assert BlockRef(1, 2, 3) != BlockRef(1, 2, 4)
+        assert len({BlockRef(1, 2, 3), BlockRef(1, 2, 3)}) == 1
+
+    def test_repr(self):
+        assert repr(BlockRef(4, 16384, 512)) == (
+            "BlockRef(piece=4, offset=16384, length=512)"
+        )
+
+    def test_fields(self):
+        block = BlockRef(4, 16384, 512)
+        assert (block.piece, block.offset, block.length) == (4, 16384, 512)
+
+    @pytest.mark.parametrize(
+        "piece, offset, length",
+        [(-1, 0, 1), (0, -1, 1), (0, 0, 0), (0, 0, -5)],
+    )
+    def test_invalid_triples_are_rejected(self, piece, offset, length):
+        with pytest.raises(ValueError, match="invalid block reference"):
+            BlockRef(piece, offset, length)
+
+    def test_immutable(self):
+        block = BlockRef(0, 0, 1)
+        with pytest.raises(AttributeError):
+            block.length = 2
+
+
 class TestMetainfo:
     def test_synthetic_hashes_verify(self):
         meta = Metainfo.synthetic("t", 1000, piece_size=256, block_size=64)

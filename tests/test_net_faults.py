@@ -14,7 +14,18 @@ import pytest
 from repro.instrumentation.trace import TraceRecorder
 from repro.net.conformance import check_trace, completion_counts
 from repro.net.swarm import LiveSwarm
+from repro.protocol.bitfield import Bitfield
+from repro.protocol.messages import (
+    Bitfield as BitfieldMessage,
+    HANDSHAKE_LENGTH,
+    Cancel,
+    Handshake,
+    Interested,
+    Request,
+    Unchoke,
+)
 from repro.protocol.metainfo import make_metainfo
+from repro.protocol.stream import MessageStream
 from repro.sim.config import KIB, PeerConfig
 
 pytestmark = pytest.mark.net
@@ -80,3 +91,72 @@ def test_swarm_survives_peer_crash():
     completed = [addr for addr, count in counts.items() if count == NUM_PIECES]
     assert sorted(completed) == sorted(peer.address for peer in survivors
                                        if peer.became_seed_at != 0.0)
+
+
+async def _until(condition, timeout=5.0):
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.01)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
+async def _reaped_after(message, unchoked_first):
+    """Open a raw link to a live seed, send *message* once the link is in
+    the seed's peer set (after an UNCHOKE when *unchoked_first*), and
+    report whether the seed reaped the link."""
+    metainfo = make_metainfo(
+        "wirecheck", num_pieces=4, piece_size=4 * KIB, block_size=KIB
+    )
+    config = PeerConfig(
+        upload_capacity=16 * KIB, choke_interval=0.05, min_peer_set=1
+    )
+    swarm = LiveSwarm(metainfo, seed=5, config=config)
+    seed = swarm.add_peer(is_seed=True)
+    await swarm.start()
+    reader, writer = await asyncio.open_connection("127.0.0.1", seed.port)
+    try:
+        writer.write(Handshake(info_hash=metainfo.info_hash, peer_id=b"r" * 20).encode())
+        writer.write(BitfieldMessage(bits=Bitfield(4).to_bytes()).encode())
+        await reader.readexactly(HANDSHAKE_LENGTH)
+        await _until(lambda: seed.connections)
+        (link,) = seed.connections.values()
+        if unchoked_first:
+            writer.write(Interested().encode())
+            stream = MessageStream(expect_handshake=False)
+            unchoked = []
+            while not unchoked:
+                chunk = await asyncio.wait_for(reader.read(65536), 5.0)
+                assert chunk, "seed closed the link before unchoking"
+                unchoked = [m for m in stream.feed(chunk) if isinstance(m, Unchoke)]
+        writer.write(message.encode())
+        await writer.drain()
+        try:
+            await _until(lambda: link.closed)
+        except asyncio.TimeoutError:
+            return False
+        return (
+            not seed.connections
+            and swarm.metrics.value("fault.connection_reaped") == 1
+        )
+    finally:
+        writer.close()
+        await writer.wait_closed()
+        await swarm.shutdown()
+
+
+def test_zero_length_cancel_reaps_the_link():
+    assert asyncio.run(_reaped_after(Cancel(piece=0, offset=0, length=0), False))
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        Request(piece=0, offset=0, length=1 << 20),  # larger than the piece
+        Request(piece=0, offset=512, length=KIB),  # not block-aligned
+        Request(piece=4, offset=0, length=KIB),  # piece out of range
+    ],
+    ids=["oversized", "misaligned", "bad-piece"],
+)
+def test_malformed_request_from_an_unchoked_remote_reaps_the_link(request_):
+    assert asyncio.run(_reaped_after(request_, True))
